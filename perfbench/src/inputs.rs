@@ -180,6 +180,15 @@ pub fn sweep_grids(seed: u64) -> Vec<Vec<Scenario>> {
         .collect()
 }
 
+/// `primary`'s power-of-two rate-scale family ([`FAMILY_SCALES`]): the
+/// members share one fingerprint, so the planner solves them as one group.
+pub fn family_grid(primary: &Scenario) -> Vec<Scenario> {
+    ScenarioGrid::new(primary.clone())
+        .rate_scales(FAMILY_SCALES.to_vec())
+        .expand()
+        .expect("power-of-two rate scales are valid")
+}
+
 /// Outcome classes of the `http-fleet` trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Class {
@@ -487,6 +496,20 @@ mod tests {
             assert_eq!(g.len(), FAMILY_SCALES.len() * GRID_CS.len());
         }
         assert_ne!(keys(&a[0]), keys(&sweep_grids(6)[0]));
+    }
+
+    #[test]
+    fn family_grid_shares_one_fingerprint_under_distinct_keys() {
+        let primary = &keepalive(5).configs[0];
+        let grid = family_grid(primary);
+        assert_eq!(grid.len(), FAMILY_SCALES.len());
+        let mut prints: Vec<u64> = grid.iter().map(|s| fingerprint(s).unwrap()).collect();
+        prints.dedup();
+        assert_eq!(prints.len(), 1);
+        let mut k = keys(&grid);
+        k.sort();
+        k.dedup();
+        assert_eq!(k.len(), grid.len());
     }
 
     #[test]

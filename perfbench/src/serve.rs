@@ -183,43 +183,9 @@ pub fn read_response<R: BufRead>(reader: &mut R) -> io::Result<Response> {
     Err(bad("too many response headers"))
 }
 
-/// Client-side span marks of one request (connected, written, answered;
-/// a kept-alive request has no connect), recorded only by the traced
-/// runs' overhead probe. Off, marking costs nothing.
-pub struct Spans(Option<Vec<Instant>>);
-
-impl Spans {
-    pub fn off() -> Spans {
-        Spans(None)
-    }
-
-    /// Marks from now on.
-    pub fn on() -> Spans {
-        let mut marks = Vec::with_capacity(4);
-        marks.push(Instant::now());
-        Spans(Some(marks))
-    }
-
-    fn mark(&mut self) {
-        if let Some(marks) = &mut self.0 {
-            marks.push(Instant::now());
-        }
-    }
-
-    /// Milliseconds between consecutive marks.
-    pub fn phases_ms(&self) -> Vec<f64> {
-        self.0.as_deref().map_or_else(Vec::new, |m| {
-            m.windows(2)
-                .map(|w| (w[1] - w[0]).as_secs_f64() * 1e3)
-                .collect()
-        })
-    }
-}
-
-fn query_bytes(device: &str, body: &[u8], close: bool) -> Vec<u8> {
+fn query_bytes(device: &str, body: &[u8]) -> Vec<u8> {
     let head = format!(
-        "POST /query HTTP/1.1\r\nx-device: {device}\r\n{}content-length: {}\r\n\r\n",
-        if close { "connection: close\r\n" } else { "" },
+        "POST /query HTTP/1.1\r\nx-device: {device}\r\ncontent-length: {}\r\n\r\n",
         body.len()
     );
     let mut request = Vec::with_capacity(head.len() + body.len());
@@ -253,17 +219,9 @@ impl KeepAlive {
 
     /// `POST /query` with `body`, quota-keyed to `device`; the connection
     /// stays open unless the response says otherwise.
-    pub fn post_query(
-        &mut self,
-        device: &str,
-        body: &[u8],
-        spans: &mut Spans,
-    ) -> io::Result<Response> {
-        self.writer.write_all(&query_bytes(device, body, false))?;
-        spans.mark();
-        let response = read_response(&mut self.reader);
-        spans.mark();
-        response
+    pub fn post_query(&mut self, device: &str, body: &[u8]) -> io::Result<Response> {
+        self.writer.write_all(&query_bytes(device, body))?;
+        read_response(&mut self.reader)
     }
 }
 
@@ -283,23 +241,6 @@ pub fn post_fresh(addr: SocketAddr, device: &str, body: &[u8]) -> io::Result<Res
         close: true,
         body: r.body,
     })
-}
-
-/// [`post_fresh`] through the benchmark's own reader, so the overhead
-/// probe can time the same code with and without span marks.
-pub fn post_fresh_spans(
-    addr: SocketAddr,
-    device: &str,
-    body: &[u8],
-    spans: &mut Spans,
-) -> io::Result<Response> {
-    let mut stream = connect(addr)?;
-    spans.mark();
-    stream.write_all(&query_bytes(device, body, true))?;
-    spans.mark();
-    let response = read_response(&mut BufReader::new(stream));
-    spans.mark();
-    response
 }
 
 #[cfg(test)]

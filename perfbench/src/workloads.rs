@@ -6,7 +6,7 @@ use crate::inputs::{self, Class, FleetTrace};
 use crate::layers;
 use crate::openloop;
 use crate::report::Report;
-use crate::serve::{self, KeepAlive, Response, ServerProc, Spans};
+use crate::serve::{self, KeepAlive, Response, ServerProc};
 use crate::stats;
 use crate::sys;
 use crate::Ctx;
@@ -18,16 +18,20 @@ use kibamrm_net::Json;
 use markov::transient::{Representation, TransientOptions};
 use std::collections::BTreeMap;
 use std::hint::black_box;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// Set-ups per run of the in-process workloads (each includes a warm-up
 /// solve); `setup_s` is their median.
 const SETUP_REPEATS: usize = 3;
-/// The HTTP set-ups are shorter (a fleet warm-up, a snapshot load) and
-/// their process start jitters: repeat them more.
-const FLEET_SETUP_REPEATS: usize = 9;
-const KEEPALIVE_SETUP_REPEATS: usize = 25;
+/// The HTTP workloads run in segments, each on a freshly set-up server,
+/// so their set-ups are spread over the run like their requests are and
+/// `setup_s` samples the host's speed at several moments, not one.
+const HTTP_SEGMENTS: usize = 4;
+/// Set-ups per segment (the last one serves the segment). Process start
+/// jitters, so they repeat more than the in-process set-up.
+const FLEET_SETUP_REPEATS: usize = 4;
+const KEEPALIVE_SETUP_REPEATS: usize = 6;
 /// Largest distance of a `solve-cold` answer from the independent
 /// reference (both sides carry an ε = 1e-10 truncation budget).
 const REFERENCE_TOLERANCE: f64 = 1e-8;
@@ -450,7 +454,7 @@ fn fleet_setup(ctx: &Ctx, trace: &FleetTrace, i: usize) -> Result<(ServerProc, f
     let mut conn = KeepAlive::connect(server.addr).map_err(|e| format!("warm-up connect: {e}"))?;
     for s in trace.warm() {
         let r = conn
-            .post_query("warm", &inputs::envelope(s, false), &mut Spans::off())
+            .post_query("warm", &inputs::envelope(s, false))
             .map_err(|e| format!("warm-up query: {e}"))?;
         if r.status != 200 {
             return Err(format!("warm-up query answered {}", r.status));
@@ -459,49 +463,33 @@ fn fleet_setup(ctx: &Ctx, trace: &FleetTrace, i: usize) -> Result<(ServerProc, f
     Ok((server, started.elapsed().as_secs_f64()))
 }
 
-/// What one replay of the fleet trace produced.
+/// What the replays of the fleet trace produced.
 pub struct FleetRun {
+    /// The last segment's server, still running.
     pub server: ServerProc,
     /// Latency (ms, from the due time) per class, over served requests.
     pub class_ms: BTreeMap<Class, Vec<f64>>,
     pub latencies_ms: Vec<f64>,
     pub late_ms: Vec<f64>,
+    /// Timed phases and server CPU, summed over segments.
     pub wall: Duration,
     pub server_cpu_s: f64,
+    /// Peak RSS (MiB) of each segment's server.
+    pub peak_rss_mib: Vec<f64>,
+    /// `/stats` of the last segment's server after its replay.
     pub stats_after: Json,
 }
 
-/// Boots (with `setup_repeats` set-ups), replays `trace` open-loop and
-/// checks every answer.
+/// Replays `trace` open-loop once per segment, each time on a server set
+/// up `setup_repeats` times, and checks every answer and every segment's
+/// class counts. The in-process references are solved once, first.
 pub fn run_fleet(
     ctx: &Ctx,
     report: &mut Report,
     trace: &FleetTrace,
+    segments: usize,
     setup_repeats: usize,
 ) -> Result<FleetRun, String> {
-    let mut setups = Vec::new();
-    let mut server = None;
-    for i in 0..setup_repeats {
-        let (s, secs) = fleet_setup(ctx, trace, i)?;
-        setups.push(secs);
-        server = Some(s); // the previous server is killed on drop
-    }
-    if !ctx.trace {
-        report_setup(report, &setups);
-    }
-    let server = server.expect("at least one set-up");
-    let stats_before = server.stats()?;
-    let cpu0 = sys::cpu_seconds(Some(server.pid()))?;
-    let addr = server.addr;
-    let start = Instant::now();
-    let outcomes = openloop::run(trace.requests.len(), inputs::FLEET_RATE, ctx.nproc, |i| {
-        let r = &trace.requests[i];
-        serve::post_fresh(addr, &r.device, &r.body)
-    });
-    let wall = start.elapsed();
-    let server_cpu_s = sys::cpu_seconds(Some(server.pid()))? - cpu0;
-    let stats_after = server.stats()?;
-
     let registry = server_registry();
     let references: Vec<LifetimeDistribution> = trace
         .exact
@@ -512,30 +500,62 @@ pub fn run_fleet(
                 .map_err(|e| format!("reference {}: {e}", s.name()))
         })
         .collect::<Result<_, _>>()?;
+    let mut setups = Vec::new();
     let mut class_ms: BTreeMap<Class, Vec<f64>> = BTreeMap::new();
-    let mut latencies_ms = Vec::new();
-    let mut late_ms = Vec::new();
-    let mut observed: BTreeMap<&str, usize> = BTreeMap::new();
-    for (request, (timing, result)) in trace.requests.iter().zip(outcomes) {
-        report.attempted += 1;
-        late_ms.push(ms(timing.late));
-        let outcome = match result {
-            Ok(response) => check_fleet_answer(request, &response, &references),
-            Err(e) => Err(format!("transport error: {e}")),
-        };
-        match outcome {
-            Ok(label) => {
-                *observed.entry(label).or_default() += 1;
-                latencies_ms.push(ms(timing.latency));
-                class_ms
-                    .entry(request.class)
-                    .or_default()
-                    .push(ms(timing.latency));
-            }
-            Err(problem) => report.fail(format!("{} request: {problem}", request.class.name())),
+    let (mut latencies_ms, mut late_ms, mut peak_rss_mib) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut wall, mut server_cpu_s) = (Duration::ZERO, 0.0);
+    let mut last: Option<(ServerProc, Json)> = None;
+    for segment in 0..segments {
+        if let Some((previous, _)) = last.take() {
+            previous.drain()?;
         }
+        let mut server = None;
+        for i in 0..setup_repeats {
+            let (s, secs) = fleet_setup(ctx, trace, segment * setup_repeats + i)?;
+            setups.push(secs);
+            server = Some(s); // the previous server is killed on drop
+        }
+        let server = server.expect("at least one set-up");
+        let stats_before = server.stats()?;
+        let cpu0 = sys::cpu_seconds(Some(server.pid()))?;
+        let addr = server.addr;
+        let start = Instant::now();
+        let outcomes = openloop::run(trace.requests.len(), inputs::FLEET_RATE, ctx.nproc, |i| {
+            let r = &trace.requests[i];
+            serve::post_fresh(addr, &r.device, &r.body)
+        });
+        wall += start.elapsed();
+        server_cpu_s += sys::cpu_seconds(Some(server.pid()))? - cpu0;
+        peak_rss_mib.push(sys::peak_rss_mib(Some(server.pid()))?);
+        let stats_after = server.stats()?;
+
+        let mut observed: BTreeMap<&str, usize> = BTreeMap::new();
+        for (request, (timing, result)) in trace.requests.iter().zip(outcomes) {
+            report.attempted += 1;
+            late_ms.push(ms(timing.late));
+            let outcome = match result {
+                Ok(response) => check_fleet_answer(request, &response, &references),
+                Err(e) => Err(format!("transport error: {e}")),
+            };
+            match outcome {
+                Ok(label) => {
+                    *observed.entry(label).or_default() += 1;
+                    latencies_ms.push(ms(timing.latency));
+                    class_ms
+                        .entry(request.class)
+                        .or_default()
+                        .push(ms(timing.latency));
+                }
+                Err(problem) => report.fail(format!("{} request: {problem}", request.class.name())),
+            }
+        }
+        check_fleet_counts(report, trace, &observed, &stats_before, &stats_after);
+        last = Some((server, stats_after));
     }
-    check_fleet_counts(report, trace, &observed, &stats_before, &stats_after);
+    if !ctx.trace {
+        report_setup(report, &setups);
+    }
+    let (server, stats_after) = last.expect("at least one segment");
     Ok(FleetRun {
         server,
         class_ms,
@@ -543,6 +563,7 @@ pub fn run_fleet(
         late_ms,
         wall,
         server_cpu_s,
+        peak_rss_mib,
         stats_after,
     })
 }
@@ -666,25 +687,28 @@ fn check_fleet_counts(
 }
 
 pub fn http_fleet(ctx: &Ctx, report: &mut Report) -> Result<(), String> {
-    let n = (inputs::FLEET_RATE * ctx.seconds.as_secs_f64()).round() as usize;
     if ctx.trace {
         return layers::trace_http_fleet(ctx, report);
     }
+    let n =
+        (inputs::FLEET_RATE * ctx.seconds.as_secs_f64() / HTTP_SEGMENTS as f64).round() as usize;
     let trace = inputs::fleet(ctx.seed, n);
-    let run = run_fleet(ctx, report, &trace, FLEET_SETUP_REPEATS)?;
+    let run = run_fleet(ctx, report, &trace, HTTP_SEGMENTS, FLEET_SETUP_REPEATS)?;
     report.metric(
         "latency_p50_ms",
         summarise("latency (all classes)", &run.latencies_ms),
     );
+    // The offered rate, unless requests fail or the senders saturate.
     report.metric(
         "throughput_ops",
         run.latencies_ms.len() as f64 / run.wall.as_secs_f64(),
     );
     report.metric(
         "cpu_ms_per_op",
-        run.server_cpu_s * 1e3 / trace.requests.len() as f64,
+        run.server_cpu_s * 1e3 / run.late_ms.len() as f64,
     );
-    report.metric("peak_rss_mb", sys::peak_rss_mib(Some(run.server.pid()))?);
+    println!("peak_rss_mb per segment: {:?}", run.peak_rss_mib);
+    report.metric("peak_rss_mb", stats::median(&run.peak_rss_mib));
     fleet_summary(report, &run);
     run.server.drain()?;
     Ok(())
@@ -708,16 +732,21 @@ pub fn fleet_summary(report: &mut Report, run: &FleetRun) {
 
 // ------------------------------------------------------------ http-keepalive
 
-/// What one closed-loop keep-alive run produced.
+/// What the closed-loop keep-alive segments produced.
 pub struct KeepAliveRun {
+    /// The last segment's server, still running.
     pub server: ServerProc,
     pub latencies_ms: Vec<f64>,
     /// Whether each request opened a new connection.
     pub reconnects: Vec<bool>,
     /// Gap between one request's completion and the next one's start.
     pub gaps_ms: Vec<f64>,
+    /// Timed phases and server CPU, summed over segments.
     pub wall: Duration,
     pub server_cpu_s: f64,
+    /// Peak RSS (MiB) of each segment's server.
+    pub peak_rss_mib: Vec<f64>,
+    /// `/stats` of the last segment's server after its loop.
     pub stats_after: Json,
 }
 
@@ -745,79 +774,123 @@ pub fn keepalive_snapshot(
     Ok((path, references))
 }
 
+/// Spawns the server on the resident snapshot (loaded before it prints
+/// `listening`), then sends every request body once over one connection:
+/// the first pass a restarted server's clients make. Returns the server
+/// and the set-up seconds.
+fn keepalive_setup(
+    ctx: &Ctx,
+    inputs: &inputs::KeepAliveInputs,
+    snapshot: &Path,
+    i: usize,
+) -> Result<(ServerProc, f64), String> {
+    let started = Instant::now();
+    let args = vec!["--snapshot".to_string(), snapshot.display().to_string()];
+    let log = ctx.work_dir.join(format!("keepalive-server-{i}.log"));
+    let server = ServerProc::spawn(&ctx.serve_bin, &args, &log)?;
+    let mut conn =
+        KeepAlive::connect(server.addr).map_err(|e| format!("first-pass connect: {e}"))?;
+    for (_, body) in &inputs.bodies {
+        let r = conn
+            .post_query("first-pass", body)
+            .map_err(|e| format!("first-pass query: {e}"))?;
+        if r.status != 200 || r.close {
+            return Err(format!(
+                "first-pass query answered {} (close: {})",
+                r.status, r.close
+            ));
+        }
+    }
+    Ok((server, started.elapsed().as_secs_f64()))
+}
+
+/// Runs the closed loop for `duration` split over `segments`, each on a
+/// server set up `setup_repeats` times, and checks every answer.
 pub fn run_keepalive(
     ctx: &Ctx,
     report: &mut Report,
     inputs: &inputs::KeepAliveInputs,
     duration: Duration,
+    segments: usize,
     setup_repeats: usize,
 ) -> Result<KeepAliveRun, String> {
     let (snapshot, references) = keepalive_snapshot(ctx, inputs)?;
-    let args = vec!["--snapshot".to_string(), snapshot.display().to_string()];
     let mut setups = Vec::new();
-    let mut server = None;
-    for i in 0..setup_repeats {
-        let started = Instant::now();
-        let log = ctx.work_dir.join(format!("keepalive-server-{i}.log"));
-        server = Some(ServerProc::spawn(&ctx.serve_bin, &args, &log)?);
-        setups.push(started.elapsed().as_secs_f64());
+    let (mut latencies_ms, mut reconnects, mut gaps_ms) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut wall, mut server_cpu_s, mut peak_rss_mib) = (Duration::ZERO, 0.0, Vec::new());
+    let mut last: Option<(ServerProc, Json)> = None;
+    for segment in 0..segments {
+        if let Some((previous, _)) = last.take() {
+            // Its drain rewrites the snapshot with the same resident entries.
+            previous.drain()?;
+        }
+        let mut server = None;
+        for i in 0..setup_repeats {
+            let (s, secs) = keepalive_setup(ctx, inputs, &snapshot, segment * setup_repeats + i)?;
+            setups.push(secs);
+            server = Some(s); // the previous server is killed on drop
+        }
+        let server = server.expect("at least one set-up");
+        let loaded = serve::stat(&server.stats()?, "service", "snapshot_loaded");
+        report.check(loaded == inputs.configs.len() as f64, || {
+            format!(
+                "server revived {loaded} snapshot entries, want {}",
+                inputs.configs.len()
+            )
+        });
+
+        let addr = server.addr;
+        let cpu0 = sys::cpu_seconds(Some(server.pid()))?;
+        let start = Instant::now();
+        let deadline = start + duration / segments as u32;
+        let per_thread: Vec<Result<ThreadRun, String>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..ctx.nproc)
+                .map(|t| {
+                    let references = &references;
+                    let seed = ctx.seed.wrapping_add((segment * ctx.nproc) as u64);
+                    scope.spawn(move || {
+                        keepalive_thread(addr, inputs, references, seed, t, deadline)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| {
+                    h.join()
+                        .unwrap_or_else(|_| Err("keep-alive client panicked".into()))
+                })
+                .collect()
+        });
+        wall += start.elapsed();
+        server_cpu_s += sys::cpu_seconds(Some(server.pid()))? - cpu0;
+        peak_rss_mib.push(sys::peak_rss_mib(Some(server.pid()))?);
+        let stats_after = server.stats()?;
+        for thread in per_thread {
+            let thread = thread?;
+            report.attempted += thread.attempted;
+            for p in thread.problems {
+                report.fail(p);
+            }
+            latencies_ms.extend(thread.latencies_ms);
+            reconnects.extend(thread.reconnects);
+            gaps_ms.extend(thread.gaps_ms);
+        }
+        last = Some((server, stats_after));
     }
     if !ctx.trace {
         report_setup(report, &setups);
     }
-    let server = server.expect("at least one set-up");
-    let loaded = serve::stat(&server.stats()?, "service", "snapshot_loaded");
-    report.check(loaded == inputs.configs.len() as f64, || {
-        format!(
-            "server revived {loaded} snapshot entries, want {}",
-            inputs.configs.len()
-        )
-    });
-
-    let addr = server.addr;
-    let cpu0 = sys::cpu_seconds(Some(server.pid()))?;
-    let start = Instant::now();
-    let deadline = start + duration;
-    let per_thread: Vec<Result<ThreadRun, String>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..ctx.nproc)
-            .map(|t| {
-                let references = &references;
-                scope.spawn(move || {
-                    keepalive_thread(addr, inputs, references, ctx.seed, t, deadline)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|_| Err("keep-alive client panicked".into()))
-            })
-            .collect()
-    });
-    let wall = start.elapsed();
-    let server_cpu_s = sys::cpu_seconds(Some(server.pid()))? - cpu0;
-    let stats_after = server.stats()?;
-    let mut run = KeepAliveRun {
+    let (server, stats_after) = last.expect("at least one segment");
+    Ok(KeepAliveRun {
         server,
-        latencies_ms: Vec::new(),
-        reconnects: Vec::new(),
-        gaps_ms: Vec::new(),
+        latencies_ms,
+        reconnects,
+        gaps_ms,
         wall,
         server_cpu_s,
+        peak_rss_mib,
         stats_after,
-    };
-    for thread in per_thread {
-        let thread = thread?;
-        report.attempted += thread.attempted;
-        for p in thread.problems {
-            report.fail(p);
-        }
-        run.latencies_ms.extend(thread.latencies_ms);
-        run.reconnects.extend(thread.reconnects);
-        run.gaps_ms.extend(thread.gaps_ms);
-    }
-    Ok(run)
+    })
 }
 
 #[derive(Default)]
@@ -855,10 +928,7 @@ fn keepalive_thread(
             Some(c) => Ok(c),
             None => KeepAlive::connect(addr),
         }
-        .and_then(|mut c| {
-            c.post_query("keepalive", body, &mut Spans::off())
-                .map(|r| (c, r))
-        });
+        .and_then(|mut c| c.post_query("keepalive", body).map(|r| (c, r)));
         let done = Instant::now();
         last_done = Some(done);
         out.attempted += 1;
@@ -902,7 +972,14 @@ pub fn http_keepalive(ctx: &Ctx, report: &mut Report) -> Result<(), String> {
     if ctx.trace {
         return layers::trace_http_keepalive(ctx, report, &inputs);
     }
-    let run = run_keepalive(ctx, report, &inputs, ctx.seconds, KEEPALIVE_SETUP_REPEATS)?;
+    let run = run_keepalive(
+        ctx,
+        report,
+        &inputs,
+        ctx.seconds,
+        HTTP_SEGMENTS,
+        KEEPALIVE_SETUP_REPEATS,
+    )?;
     report.metric("latency_p50_ms", summarise("latency", &run.latencies_ms));
     report.metric(
         "throughput_ops",
@@ -912,7 +989,8 @@ pub fn http_keepalive(ctx: &Ctx, report: &mut Report) -> Result<(), String> {
         "cpu_ms_per_op",
         run.server_cpu_s * 1e3 / run.latencies_ms.len().max(1) as f64,
     );
-    report.metric("peak_rss_mb", sys::peak_rss_mib(Some(run.server.pid()))?);
+    println!("peak_rss_mb per segment: {:?}", run.peak_rss_mib);
+    report.metric("peak_rss_mb", stats::median(&run.peak_rss_mib));
     keepalive_summary(report, &run);
     run.server.drain()?;
     Ok(())
