@@ -14,7 +14,6 @@ pub mod fig9;
 pub mod mc;
 pub mod regress;
 pub mod service;
-pub mod spmm;
 pub mod sweep;
 pub mod table1;
 pub mod window;

@@ -18,18 +18,18 @@
 //!   passes);
 //! * **planner drift** — the quick sweep grid's planned results are not
 //!   bit-identical to naive per-scenario solves (sup-distance must be
-//!   exactly 0), or the plan no longer forms the committed number of
-//!   groups;
-//! * **panel drift** (`BENCH_spmm.json`) — the column-panel SpMM engine
-//!   re-derived on the quick rate-rescale family no longer produces
-//!   curves bit-identical to independent single-vector solves
-//!   (sup-distance must be exactly 0), no longer groups the whole family
-//!   into one k-wide panel, its machine-independent touched-entry
-//!   counters differ from the committed values *at all* (they are exact
-//!   by construction — any change means the sweep order changed), the
-//!   panel stops reading fewer entries than the k independent sweeps, or
-//!   a k = 1 panel no longer degenerates bit-identically to the
-//!   unpaneled kernels. Timings from the committed file are ignored;
+//!   exactly 0) on CSR and on the windowed banded engine, or the plan
+//!   no longer forms the committed number of groups;
+//! * **family drift** — the Fig. 8 rate-rescale family (`γ ∈ {⅛, ¼,
+//!   ½, 1}`) on the windowed banded engine, solved through one shared
+//!   curve cache, no longer produces curves bit-identical to fresh solo
+//!   solves (sup-distance must be exactly 0), its summed
+//!   `touched_entries` differ *at all* from the widest member's solo
+//!   sweep (the family must cost exactly one sweep to its largest
+//!   `ν·t`), an inherited window deficit exceeds ε/2, or the shared
+//!   family stops beating independent solos on the clock (median of 5
+//!   alternating paired runs, ratio floor 1.0 — a large margin on a
+//!   ~2× effect, so noise cannot flip it);
 //! * **Monte Carlo drift** (`BENCH_mc.json`) — the streaming simulation
 //!   engine's gate configuration is no longer bit-identical across
 //!   worker-pool sizes, or its fixed-seed curve leaves the Wilson band
@@ -51,12 +51,13 @@
 //!
 //! A machine-readable verdict is always written to
 //! `REGRESS_report.json` under `--out` (the CI artifact), then the run
-//! exits non-zero if any check failed. Timings are deliberately **not**
-//! gated — CI boxes are too noisy; the gate watches the
-//! machine-independent counters instead.
+//! exits non-zero if any check failed. Absolute timings are deliberately
+//! **not** gated — CI boxes are too noisy; the gate watches the
+//! machine-independent counters, plus the one paired timing ratio of
+//! the family section.
 
 use super::config::Config;
-use super::{discretise_fig8, spmm as spmm_experiment, sweep as sweep_experiment, write_json};
+use super::{discretise_fig8, sweep as sweep_experiment, write_json};
 use crate::json::Json;
 use markov::transient::{
     measure_curve, measure_curve_budgeted, CurveCache, Representation, TransientOptions,
@@ -120,10 +121,8 @@ pub fn run(cfg: &Config) -> Result<(), String> {
     if let Err(e) = sweep {
         report.check("sweep gate execution", false, e);
     }
-    let spmm =
-        load(against, "BENCH_spmm.json").and_then(|committed| spmm_gate(&committed, &mut report));
-    if let Err(e) = spmm {
-        report.check("spmm gate execution", false, e);
+    if let Err(e) = family_gate(&mut report) {
+        report.check("family gate execution", false, e);
     }
     let mc = load(against, "BENCH_mc.json").and_then(|committed| mc_gate(&committed, &mut report));
     if let Err(e) = mc {
@@ -574,29 +573,37 @@ fn service_gate(cfg: &Config, committed: &Json, report: &mut Report) -> Result<(
     Ok(())
 }
 
-/// Re-runs the quick sweep grid: bit-identity planned-vs-naive, and the
-/// plan still forms the committed number of groups.
+/// Re-runs the quick sweep grid: bit-identity planned-vs-naive on CSR
+/// and on the windowed banded engine (`Auto` stores these Fig. 8 chains
+/// as CSR, so the windowed leg forces banded storage), and the plan
+/// still forms the committed number of groups.
 fn sweep_gate(_cfg: &Config, committed: &Json, report: &mut Report) -> Result<(), String> {
     use kibamrm::solver::{SolverOptions, SolverRegistry};
     use kibamrm::sweep::SweepPlan;
 
-    let registry = SolverRegistry::with_default_backends().with_options(SolverOptions {
-        scenario_threads: 1,
-        row_threads: 1,
-        representation: Representation::Csr,
-    });
     let base = sweep_experiment::base_scenario()?;
     let grid = sweep_experiment::build_grid(8, &base)?;
     let scenarios = grid.expand().map_err(|e| e.to_string())?;
-    let plan = SweepPlan::build(&registry, &scenarios);
-    let naive = registry.sweep_naive(&scenarios);
-    let planned = registry.sweep(&scenarios);
-    let sup = sweep_experiment::sup_distance(&planned, &naive)?;
-    report.check(
-        "sweep bit-identity (8-point grid)",
-        sup == 0.0,
-        format!("planned-vs-naive sup-distance {sup:e} (must be exactly 0)"),
-    );
+    let mut groups = Vec::new();
+    for (leg, representation) in [
+        ("CSR", Representation::Csr),
+        ("windowed", Representation::Banded),
+    ] {
+        let registry = SolverRegistry::with_default_backends().with_options(SolverOptions {
+            scenario_threads: 1,
+            row_threads: 1,
+            representation,
+        });
+        groups.push(SweepPlan::build(&registry, &scenarios).groups().len());
+        let naive = registry.sweep_naive(&scenarios);
+        let planned = registry.sweep(&scenarios);
+        let sup = sweep_experiment::sup_distance(&planned, &naive)?;
+        report.check(
+            &format!("sweep bit-identity {leg} (8-point grid)"),
+            sup == 0.0,
+            format!("planned-vs-naive sup-distance {sup:e} (must be exactly 0)"),
+        );
+    }
 
     let committed_row = committed
         .get("grids")
@@ -607,11 +614,8 @@ fn sweep_gate(_cfg: &Config, committed: &Json, report: &mut Report) -> Result<()
             let committed_groups = row.num("groups").unwrap_or(0.0) as usize;
             report.check(
                 "sweep plan shape (8-point grid)",
-                plan.groups().len() == committed_groups,
-                format!(
-                    "{} groups vs committed {committed_groups}",
-                    plan.groups().len()
-                ),
+                groups.iter().all(|&g| g == committed_groups),
+                format!("{groups:?} groups (CSR, windowed) vs committed {committed_groups}"),
             );
         }
         None => report.check(
@@ -623,106 +627,114 @@ fn sweep_gate(_cfg: &Config, committed: &Json, report: &mut Report) -> Result<()
     Ok(())
 }
 
-/// Re-runs the quick column-panel family (`BENCH_spmm.json`): the panel
-/// must stay bit-identical to independent single-vector solves, group
-/// the whole rate-rescale family, match the committed touched-entry
-/// counters *exactly* (they are machine-independent — any drift means
-/// the sweep order changed), keep beating the k independent sweeps on
-/// reads, and degenerate bit-identically at k = 1. Timings are not
-/// compared.
-fn spmm_gate(committed: &Json, report: &mut Report) -> Result<(), String> {
-    use crate::json::Json as J;
+/// The family section's rate scales: powers of two, so `Pᵀ` is bitwise
+/// shared across the family and one curve cache serves every member.
+const FAMILY_SCALES: [f64; 4] = [0.125, 0.25, 0.5, 1.0];
+/// Paired (solos, shared family) timing runs; the ratio's median gates.
+const FAMILY_TIMING_PAIRS: usize = 5;
+/// Floor on the median solos/shared wall-clock ratio.
+const FAMILY_SPEEDUP_FLOOR: f64 = 1.0;
 
-    let panel = committed
-        .get("panel")
-        .ok_or("committed BENCH_spmm.json has no 'panel' object")?;
-    let committed_k = committed
-        .get("family")
-        .and_then(|f| f.num("k"))
-        .ok_or("committed BENCH_spmm.json has no 'family.k'")? as usize;
-    let committed_sup = panel
-        .num("max_abs_difference_vs_independent")
-        .ok_or("panel without 'max_abs_difference_vs_independent'")?;
-    let committed_solo = panel
-        .num("solo_touched_entries")
-        .ok_or("panel without 'solo_touched_entries'")?;
-    let committed_panel_touched = panel
-        .num("panel_touched_entries")
-        .ok_or("panel without 'panel_touched_entries'")?;
-    let committed_sizes: Vec<usize> = panel
-        .get("panel_sizes")
-        .and_then(Json::as_array)
-        .ok_or("panel without 'panel_sizes'")?
-        .iter()
-        .filter_map(|s| s.as_f64())
-        .map(|s| s as usize)
-        .collect();
-    let committed_k1_sizes: Vec<usize> = panel
-        .get("k1_panel_sizes")
-        .and_then(Json::as_array)
-        .ok_or("panel without 'k1_panel_sizes'")?
-        .iter()
-        .filter_map(|s| s.as_f64())
-        .map(|s| s as usize)
-        .collect();
-    report.check(
-        "spmm committed facts",
-        committed_sup == 0.0
-            && committed_sizes == vec![committed_k]
-            && committed_solo > committed_panel_touched
-            && committed_k1_sizes == vec![1]
-            && panel.get("k1_bitwise_identical") == Some(&J::Bool(true)),
-        format!(
-            "committed sup-distance {committed_sup:e} (must be exactly 0), \
-             panel sizes {committed_sizes:?} for k={committed_k}, touched \
-             {committed_solo:.0} solo vs {committed_panel_touched:.0} panel, \
-             k1 {committed_k1_sizes:?} / {:?}",
-            panel.get("k1_bitwise_identical")
-        ),
-    );
+/// Solves the Fig. 8 rate-rescale family on the windowed banded engine
+/// through one shared [`CurveCache`] and as fresh solos: curves must be
+/// bit-identical, the family must read exactly what its widest member
+/// reads alone, every inherited deficit must stay within ε/2, and the
+/// shared family must beat the solos on the clock.
+fn family_gate(report: &mut Report) -> Result<(), String> {
+    use kibamrm::discretise::{DiscretisationOptions, DiscretisedModel};
+    use std::time::Instant;
+    use units::Time;
 
-    let (discs, times) = spmm_experiment::build_family()?;
-    let facts = spmm_experiment::derive_facts(&discs, &times)?;
+    let base = sweep_experiment::base_scenario()?;
+    let times: Vec<Time> = base.times().to_vec();
+    // `Auto` stores these chains as CSR; the gate forces banded storage
+    // so the shared sweeps run the active window.
+    let transient = TransientOptions {
+        representation: Representation::Banded,
+        active_window: true,
+        ..TransientOptions::default()
+    };
+    let mut discs = Vec::with_capacity(FAMILY_SCALES.len());
+    for &gamma in &FAMILY_SCALES {
+        let scenario = base.with_rate_scale(gamma).map_err(|e| e.to_string())?;
+        let model = scenario.to_model().map_err(|e| e.to_string())?;
+        let mut opts = DiscretisationOptions::with_delta(
+            scenario.effective_delta().map_err(|e| e.to_string())?,
+        );
+        opts.transient = transient;
+        discs.push(DiscretisedModel::build(&model, &opts).map_err(|e| e.to_string())?);
+    }
+    let solos = |discs: &[DiscretisedModel]| {
+        discs
+            .iter()
+            .map(|d| d.empty_probability_curve(&times))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|e| e.to_string())
+    };
+    let shared = |discs: &[DiscretisedModel]| {
+        let mut cache = CurveCache::new();
+        discs
+            .iter()
+            .map(|d| d.empty_probability_curve_cached(&times, &mut cache))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|e| e.to_string())
+    };
+
+    let solo = solos(&discs)?;
+    let family = shared(&discs)?;
+    let mut sup = 0.0f64;
+    for (a, b) in family.iter().zip(&solo) {
+        for (&(_, p), &(_, q)) in a.points.iter().zip(&b.points) {
+            sup = sup.max((p - q).abs());
+        }
+    }
     report.check(
-        "spmm panel bit-identity",
-        facts.sup_distance == 0.0,
+        "family bit-identity",
+        sup == 0.0,
         format!(
-            "panel-vs-single sup-distance {:e} over k={} curves \
+            "shared-vs-solo sup-distance {sup:e} over k={} windowed curves \
              (must be exactly 0)",
-            facts.sup_distance, facts.k
+            discs.len()
         ),
     );
+    let family_touched: u64 = family.iter().map(|c| c.touched_entries).sum();
+    let widest_touched = solo.iter().map(|c| c.touched_entries).max().unwrap_or(0);
     report.check(
-        "spmm panel grouping",
-        facts.panel_sizes == vec![facts.k],
+        "family reads",
+        family_touched == widest_touched,
         format!(
-            "rate-rescale family formed panels {:?} (expected one of \
-             size {})",
-            facts.panel_sizes, facts.k
+            "shared family touched {family_touched} vs widest solo {widest_touched} \
+             (must be equal), k independent solos {}",
+            solo.iter().map(|c| c.touched_entries).sum::<u64>()
         ),
     );
+    let half_epsilon = transient.epsilon / 2.0;
+    let deficit = family.iter().map(|c| c.window_deficit).fold(0.0, f64::max);
     report.check(
-        "spmm touched counters",
-        facts.solo_touched_entries as f64 == committed_solo
-            && facts.panel_touched_entries as f64 == committed_panel_touched
-            && facts.touched_savings() > 1.0,
-        format!(
-            "solo {} vs committed {:.0}, panel {} vs committed {:.0} \
-             (both must be exact), savings {:.3}x (must beat 1)",
-            facts.solo_touched_entries,
-            committed_solo,
-            facts.panel_touched_entries,
-            committed_panel_touched,
-            facts.touched_savings()
-        ),
+        "family window deficit",
+        deficit <= half_epsilon,
+        format!("largest inherited deficit {deficit:e} vs ε/2 = {half_epsilon:e}"),
     );
+
+    let mut ratios = Vec::with_capacity(FAMILY_TIMING_PAIRS);
+    for _ in 0..FAMILY_TIMING_PAIRS {
+        let t = Instant::now();
+        solos(&discs)?;
+        let solos_s = t.elapsed().as_secs_f64();
+        let t = Instant::now();
+        shared(&discs)?;
+        let shared_s = t.elapsed().as_secs_f64();
+        ratios.push(solos_s / shared_s);
+    }
+    ratios.sort_by(f64::total_cmp);
+    let median = ratios[ratios.len() / 2];
     report.check(
-        "spmm k=1 degeneration",
-        facts.k1_panel_sizes == vec![1] && facts.k1_bitwise_identical,
+        "family speed-up",
+        median >= FAMILY_SPEEDUP_FLOOR,
         format!(
-            "k=1 panel sizes {:?}, bitwise identical to the unpaneled \
-             kernel: {}",
-            facts.k1_panel_sizes, facts.k1_bitwise_identical
+            "independent solos / shared family wall-clock {median:.3}x \
+             (median of {FAMILY_TIMING_PAIRS} alternating pairs, floor \
+             {FAMILY_SPEEDUP_FLOOR})"
         ),
     );
     Ok(())

@@ -24,9 +24,10 @@
 //! `O(iterations·nnz)` sweep it replaces.
 //!
 //! Both paths run the same single-threaded CSR engine configuration so
-//! the comparison isolates planning gains (the active-window engine's
-//! trim schedule is horizon-dependent, which disables cross-ν sweep
-//! sharing by design — see DESIGN.md §8). The planned results are
+//! the comparison isolates planning gains (the windowed banded engine
+//! shares families the same way — its trim schedule is horizon-free,
+//! see DESIGN.md §13 — and `regress` gates that leg too). The planned
+//! results are
 //! asserted **bit-identical** to the naive ones (sup-distance exactly 0)
 //! on every run; `--quick` is the CI gate mode (8-point grid, one
 //! repetition).

@@ -570,69 +570,6 @@ impl DiscretisedModel {
         )?)
     }
 
-    /// `Pr[battery empty at t]` curves for a whole **family** of
-    /// discretised models at once, advancing members whose uniformised
-    /// `Pᵀ` is bitwise identical (rate-rescale families, `Q' = γQ` with
-    /// `γ` a power of two) through the sweep **together** as a column
-    /// panel — one read of each matrix diagonal per iteration feeds
-    /// every member. See [`markov::transient::measure_curves_panel`]
-    /// for the grouping, accounting and bit-identity contract: each
-    /// returned curve equals what
-    /// [`DiscretisedModel::empty_probability_curve`] would produce for
-    /// that member.
-    ///
-    /// All members must share the initial distribution, the
-    /// empty-states measure and the transient options bit for bit —
-    /// true by construction for models discretised from the same
-    /// battery at the same `Δ` (only the workload rates differ).
-    ///
-    /// # Errors
-    ///
-    /// [`KibamRmError::InvalidDiscretisation`] when `members` is empty
-    /// or the models do not share `α`/measure/options; otherwise as for
-    /// [`DiscretisedModel::empty_probability_curve_budgeted`].
-    pub fn empty_probability_curves_panel(
-        members: &[(&DiscretisedModel, &[Time])],
-        budget: &markov::Budget,
-    ) -> Result<markov::transient::PanelSolution, KibamRmError> {
-        let Some(((first, _), rest)) = members.split_first() else {
-            return Err(KibamRmError::InvalidDiscretisation(
-                "no panel members provided".into(),
-            ));
-        };
-        for (m, _) in rest {
-            if m.alpha != first.alpha
-                || m.empty_measure != first.empty_measure
-                || m.transient != first.transient
-            {
-                return Err(KibamRmError::InvalidDiscretisation(
-                    "panel members must share the initial distribution, \
-                     empty measure and transient options"
-                        .into(),
-                ));
-            }
-        }
-        let secs: Vec<Vec<f64>> = members
-            .iter()
-            .map(|(_, ts)| ts.iter().map(|t| t.as_seconds()).collect())
-            .collect();
-        let panel: Vec<markov::transient::PanelMember<'_>> = members
-            .iter()
-            .zip(&secs)
-            .map(|((m, _), s)| markov::transient::PanelMember {
-                ctmc: &m.chain,
-                times: s,
-            })
-            .collect();
-        Ok(markov::transient::measure_curves_panel(
-            &panel,
-            &first.alpha,
-            &first.empty_measure,
-            &first.transient,
-            budget,
-        )?)
-    }
-
     /// `Pr[battery empty at t]` for one time point.
     ///
     /// # Errors

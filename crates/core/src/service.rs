@@ -1047,11 +1047,10 @@ impl LifetimeService {
     /// warm state solve independently.
     ///
     /// Requests arrive one at a time, so this path solves members
-    /// serially against the warm state; when a whole same-fingerprint
-    /// family is presented *together* (the sweep planner's
-    /// `solve_group`), the windowed banded members are additionally
-    /// batched into a column-panel SpMM that reads each matrix diagonal
-    /// once for the whole family — see DESIGN.md §13.
+    /// serially against the warm state, exactly as the sweep planner's
+    /// `solve_group` does: a rate-rescaled sibling of a resident member
+    /// extends or remixes the warm uniformisation sweep, in CSR and
+    /// windowed banded storage alike — see DESIGN.md §13.
     fn solve_attempt(
         &self,
         scenario: &Scenario,
@@ -1855,6 +1854,66 @@ mod tests {
     }
 
     #[test]
+    fn rate_scaled_sibling_of_a_warm_windowed_entry_extends_the_shared_sweep() {
+        // Windowed banded storage forced (Auto picks CSR at this Δ): the
+        // horizon-free trim schedule lets a rate-scaled sibling extend or
+        // remix the warm group's sweep instead of starting its own.
+        let options = SolverOptions {
+            representation: markov::transient::Representation::Banded,
+            ..SolverOptions::sequential()
+        };
+        let config = ServiceConfig::default().with_options(options);
+        let service = LifetimeService::with_config(SolverRegistry::with_default_backends(), config);
+        let base = Scenario::paper_cell_phone()
+            .unwrap()
+            .with_delta(Charge::from_milliamp_hours(50.0));
+        let warm = base.with_rate_scale(0.5).unwrap();
+        let sibling = base.with_rate_scale(1.0).unwrap();
+        let shared_in_group = |service: &LifetimeService| {
+            let slot = service
+                .lock()
+                .warm
+                .values()
+                .next()
+                .map(|entry| Arc::clone(&entry.state))
+                .expect("one warm group");
+            let mut state = slot.lock().unwrap();
+            state
+                .as_any_mut()
+                .downcast_mut::<crate::solver::DiscretisationGroupState>()
+                .expect("discretisation warm state")
+                .last_solve_shared()
+        };
+        let first = service.query(&warm).unwrap();
+        assert!(!shared_in_group(&service), "the first member sweeps fresh");
+        let extended = service.query(&sibling).unwrap();
+        assert!(shared_in_group(&service), "the sibling shares the sweep");
+        let fresh = |s: &Scenario| {
+            LifetimeService::with_config(SolverRegistry::with_default_backends(), config)
+                .query(s)
+                .unwrap()
+        };
+        let fresh_sibling = fresh(&sibling);
+        assert_eq!(extended.points(), fresh_sibling.points());
+        // Extension-only work: the sibling ran just the products past
+        // the warm sweep.
+        let iterations = |d: &LifetimeDistribution| d.diagnostics().iterations.unwrap();
+        assert_eq!(
+            iterations(&first) + iterations(&extended),
+            iterations(&fresh_sibling)
+        );
+        assert!(iterations(&extended) < iterations(&fresh_sibling));
+        // A smaller sibling is a pure remix of the now longer sweep.
+        let smaller = base.with_rate_scale(0.25).unwrap();
+        let remixed = service.query(&smaller).unwrap();
+        assert!(shared_in_group(&service));
+        assert_eq!(iterations(&remixed), 0);
+        assert_eq!(remixed.points(), fresh(&smaller).points());
+        let stats = service.stats();
+        assert_eq!((stats.warm_misses, stats.warm_hits), (1, 2));
+    }
+
+    #[test]
     fn warm_state_eviction_and_purge() {
         let options = SolverOptions::sequential();
         let service = LifetimeService::with_config(
@@ -2269,6 +2328,29 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("kibamrm-svc-snap-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(format!("{tag}.snap"))
+    }
+
+    #[test]
+    fn equal_cache_contents_write_byte_identical_snapshots() {
+        // Solve timings differ run to run; they must never reach the
+        // snapshot bytes, so two services holding the same answers
+        // write the same file.
+        let base = Scenario::paper_cell_phone()
+            .unwrap()
+            .with_delta(Charge::from_milliamp_hours(50.0));
+        let family = [base.clone(), base.with_rate_scale(0.5).unwrap()];
+        let mut files = Vec::new();
+        for tag in ["equal-a", "equal-b"] {
+            let service = LifetimeService::new(SolverRegistry::with_default_backends());
+            for s in &family {
+                service.query(s).unwrap();
+            }
+            let path = snap_path(tag);
+            assert_eq!(service.save_snapshot(&path).unwrap().entries, 2);
+            files.push(std::fs::read(&path).unwrap());
+            let _ = std::fs::remove_file(&path);
+        }
+        assert_eq!(files[0], files[1]);
     }
 
     #[test]

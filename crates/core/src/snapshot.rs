@@ -36,7 +36,7 @@
 //!
 //! ```text
 //! magic    8  b"KBRMSNAP"
-//! version  4  u32 (currently 1)
+//! version  4  u32 (currently 2)
 //! length   8  u64: payload byte count
 //! checksum 8  u64: FNV-1a 64 of the payload
 //! payload:
@@ -48,13 +48,20 @@
 //!     diag      1 + …  presence bitmask, then the present fields in
 //!                      order: states u64, nonzeros u64, iterations
 //!                      u64, delta f64 (coulombs), runs u64,
-//!                      half_width f64; then wall_seconds f64
+//!                      half_width f64
 //!     points    4 + 16n  (t seconds f64, probability f64) samples
 //! ```
 //!
 //! Entries are ordered least-recently-used first, so replaying them
 //! into the cache in file order reproduces the recency order the
-//! process died with.
+//! process died with. Solve timings are not part of the format (a
+//! revived entry reports `wall_seconds = 0`), so equal cache contents
+//! always encode to equal bytes.
+//!
+//! Version history: 2 dropped `wall_seconds` from the entry, and
+//! coincides with the horizon-free window trim schedule, which changed
+//! the bits of windowed answers — a version-1 file would revive curves
+//! that no fresh solve reproduces.
 
 use crate::distribution::SolveDiagnostics;
 use std::fmt;
@@ -66,7 +73,7 @@ use units::Charge;
 /// The 8-byte file magic.
 pub const MAGIC: [u8; 8] = *b"KBRMSNAP";
 /// The current format version.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 /// Header size: magic + version + payload length + checksum.
 pub const HEADER_LEN: usize = 8 + 4 + 8 + 8;
 
@@ -333,7 +340,6 @@ pub fn encode(entries: &[SnapshotEntry]) -> Result<Vec<u8>, SnapshotError> {
         if let Some(v) = d.half_width {
             put_f64(&mut payload, v);
         }
-        put_f64(&mut payload, d.wall_seconds);
         let n_points = u32::try_from(e.points.len()).map_err(|_| too_big("point count"))?;
         put_u32(&mut payload, n_points);
         for &(t, p) in &e.points {
@@ -431,7 +437,6 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<SnapshotEntry>, SnapshotError> {
         if mask & DIAG_HALF_WIDTH != 0 {
             diagnostics.half_width = Some(cur.f64("half width")?);
         }
-        diagnostics.wall_seconds = cur.f64("wall seconds")?;
         let n_points = small(cur.u32("point count")?);
         if n_points > MAX_POINTS {
             return Err(SnapshotError::Corrupt(format!(
@@ -508,7 +513,7 @@ mod tests {
                     delta: Some(Charge::from_coulombs(300.0)),
                     runs: None,
                     half_width: None,
-                    wall_seconds: 0.125,
+                    wall_seconds: 0.0,
                 },
                 points: vec![(20.0, 0.1), (40.0, 0.625), (60.0, 1.0)],
             },
@@ -533,6 +538,17 @@ mod tests {
         assert_eq!(back, entries);
         // Empty snapshots round-trip too.
         assert_eq!(decode(&encode(&[]).unwrap()).unwrap(), vec![]);
+    }
+
+    #[test]
+    fn solve_timings_never_reach_the_bytes() {
+        let entries = sample_entries();
+        let mut timed = entries.clone();
+        timed[0].diagnostics.wall_seconds = 0.125;
+        timed[1].diagnostics.wall_seconds = 7.5;
+        assert_eq!(encode(&timed).unwrap(), encode(&entries).unwrap());
+        let back = decode(&encode(&timed).unwrap()).unwrap();
+        assert!(back.iter().all(|e| e.diagnostics.wall_seconds == 0.0));
     }
 
     #[test]
@@ -565,11 +581,13 @@ mod tests {
     #[test]
     fn version_skew_is_typed() {
         let mut file = encode(&sample_entries()).unwrap();
-        file[8..12].copy_from_slice(&2u32.to_le_bytes());
+        // A version-1 file carries per-entry timings and windowed curves
+        // of the old trim schedule: it must be refused, not misparsed.
+        file[8..12].copy_from_slice(&1u32.to_le_bytes());
         // The checksum does not cover the header, so skew is reported
         // as skew (not as corruption).
         match decode(&file) {
-            Err(SnapshotError::VersionSkew { found: 2 }) => {}
+            Err(SnapshotError::VersionSkew { found: 1 }) => {}
             other => panic!("expected version skew, got {other:?}"),
         }
     }

@@ -470,60 +470,6 @@ impl DiscretisationSolver {
         }
         solver
     }
-
-    /// Attempts to solve a whole sweep-plan group as one **column
-    /// panel**: every member is discretised through the group's shared
-    /// template, and members whose uniformised `Pᵀ` is bitwise
-    /// identical (rate-rescale families) advance through uniformisation
-    /// together — one read of each matrix diagonal per iteration feeds
-    /// all of them (see
-    /// [`DiscretisedModel::empty_probability_curves_panel`]). Every
-    /// returned distribution is bit-identical to
-    /// [`DiscretisationSolver::solve`] on the same member.
-    ///
-    /// Returns `None` when the group cannot panel — a member fails to
-    /// build, or the models do not share `α`/measure/options — and the
-    /// caller falls back to the serial grouped path, which reproduces
-    /// any genuine per-member error in the right slot.
-    fn solve_group_panel(
-        &self,
-        scenarios: &[&Scenario],
-    ) -> Option<Vec<Result<LifetimeDistribution, KibamRmError>>> {
-        let started = Instant::now();
-        let mut template: Option<DiscretisationTemplate> = None;
-        let mut discs: Vec<DiscretisedModel> = Vec::with_capacity(scenarios.len());
-        for scenario in scenarios {
-            let model = scenario.to_model().ok()?;
-            let opts = self.discretisation_options(scenario).ok()?;
-            let disc = match template.as_ref() {
-                Some(t) => DiscretisedModel::build_with_template(&model, &opts, t)
-                    .or_else(|_| DiscretisedModel::build(&model, &opts))
-                    .ok()?,
-                None => {
-                    let d = DiscretisedModel::build(&model, &opts).ok()?;
-                    template = d.template(&model, &opts).ok();
-                    d
-                }
-            };
-            discs.push(disc);
-        }
-        let members: Vec<(&DiscretisedModel, &[Time])> = discs
-            .iter()
-            .zip(scenarios)
-            .map(|(d, s)| (d, s.times()))
-            .collect();
-        let panel =
-            DiscretisedModel::empty_probability_curves_panel(&members, &Budget::unlimited())
-                .ok()?;
-        Some(
-            scenarios
-                .iter()
-                .zip(&discs)
-                .zip(&panel.curves)
-                .map(|((s, d), curve)| self.distribution_from_curve(s, d, curve, started))
-                .collect(),
-        )
-    }
 }
 
 impl LifetimeSolver for DiscretisationSolver {
@@ -635,42 +581,6 @@ impl LifetimeSolver for DiscretisationSolver {
             None => self.solve_with_budget(scenario, options, budget),
         }
     }
-
-    fn solve_group(
-        &self,
-        scenarios: &[&Scenario],
-        options: &SolverOptions,
-    ) -> Vec<Result<LifetimeDistribution, KibamRmError>> {
-        // Groups on the banded active-window engine go through the
-        // column-panel sweep: it is the one engine whose
-        // horizon-dependent window trimming prevents the serial
-        // `CurveCache` from sharing sweeps across rate-rescaled
-        // members, so advancing them together is where the matrix
-        // traffic actually shrinks. CSR groups (and window-off groups)
-        // keep the serial cache, whose extend/remix fast path already
-        // collapses a rescale family into one sweep.
-        let solver = self.with_budget(options);
-        if scenarios.len() > 1
-            && !solver.recovery_from_empty
-            && solver.transient.active_window
-            && solver.transient.representation != Representation::Csr
-        {
-            if let Some(results) = solver.solve_group_panel(scenarios) {
-                return results;
-            }
-        }
-        // Serial grouped path — the trait default's behaviour.
-        match self.new_group_state(options) {
-            Some(mut state) => scenarios
-                .iter()
-                .map(|s| self.solve_in_group(s, options, state.as_mut()))
-                .collect(),
-            None => scenarios
-                .iter()
-                .map(|s| self.solve_with(s, options))
-                .collect(),
-        }
-    }
 }
 
 /// The discretisation backend's warm group state: the shared
@@ -688,6 +598,13 @@ impl DiscretisationGroupState {
     /// resident holder's warm-budget accounting charges for this group.
     pub fn approx_bytes(&self) -> usize {
         self.cache.approx_bytes()
+    }
+
+    /// Whether the group's last member solve was served off the shared
+    /// uniformisation sweep (extended or remixed) rather than a fresh
+    /// one; see [`CurveCache::last_solve_shared`].
+    pub fn last_solve_shared(&self) -> bool {
+        self.cache.last_solve_shared()
     }
 }
 
@@ -2060,10 +1977,11 @@ mod tests {
     }
 
     #[test]
-    fn group_panel_is_bit_identical_to_independent_solves() {
-        // A rate-rescale family solved as one group rides the column
-        // panel (same Pᵀ bits, one joint sweep) and must return exactly
-        // the curves of k independent solves — grouping is an
+    fn group_windowed_family_is_bit_identical_to_independent_solves() {
+        // A rate-rescale family solved as one group shares one
+        // uniformisation sweep through the group's curve cache, on the
+        // windowed banded engine and on CSR alike, and must return
+        // exactly the curves of k independent solves — grouping is an
         // optimisation, never an approximation.
         let base = two_well().with_delta(Charge::from_milliamp_hours(50.0));
         let family: Vec<Scenario> = [0.25, 0.5, 1.0, 2.0]
@@ -2072,22 +1990,27 @@ mod tests {
             .collect();
         let members: Vec<&Scenario> = family.iter().collect();
         let solver = DiscretisationSolver::new();
-        let options = SolverOptions::sequential();
-        let grouped = solver.solve_group(&members, &options);
-        for (s, got) in members.iter().zip(&grouped) {
-            let solo = solver.solve_with(s, &options).unwrap();
-            assert_eq!(got.as_ref().unwrap().points(), solo.points());
-        }
-        // A CSR group stays on the serial cache path (extend/remix
-        // already collapses the family there) and still matches.
-        let csr = SolverOptions {
-            representation: Representation::Csr,
-            ..SolverOptions::sequential()
-        };
-        let grouped = solver.solve_group(&members, &csr);
-        for (s, got) in members.iter().zip(&grouped) {
-            let solo = solver.solve_with(s, &csr).unwrap();
-            assert_eq!(got.as_ref().unwrap().points(), solo.points());
+        for representation in [Representation::Banded, Representation::Csr] {
+            let options = SolverOptions {
+                representation,
+                ..SolverOptions::sequential()
+            };
+            let grouped = solver.solve_group(&members, &options);
+            let mut iterations = 0;
+            for (s, got) in members.iter().zip(&grouped) {
+                let got = got.as_ref().unwrap();
+                let solo = solver.solve_with(s, &options).unwrap();
+                assert_eq!(got.points(), solo.points(), "{representation:?}");
+                iterations += got.diagnostics().iterations.unwrap();
+            }
+            // The members after the first only extend the shared sweep:
+            // the group runs as many products as its widest member alone.
+            let widest = solver.solve_with(members[3], &options).unwrap();
+            assert_eq!(
+                Some(iterations),
+                widest.diagnostics().iterations,
+                "{representation:?}"
+            );
         }
     }
 }

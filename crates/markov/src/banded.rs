@@ -22,7 +22,7 @@
 //! the [`SpmvPool`](crate::pool::SpmvPool) dispatch on whichever
 //! representation a chain ended up with.
 
-use crate::sparse::{CsrMatrix, PanelColumn};
+use crate::sparse::CsrMatrix;
 use crate::MarkovError;
 use std::ops::Range;
 
@@ -507,181 +507,6 @@ impl BandedMatrix {
         }
         (dot, sup)
     }
-
-    /// One bounds-checked edge row of the panel kernel — the single
-    /// kernel's `edge` closure, restated over a column's full-length
-    /// views. Contributions arrive in ascending offset order, matching
-    /// both the single banded kernel and CSR's column order.
-    #[inline]
-    fn panel_edge<const DOT: bool, const SUP: bool>(
-        &self,
-        r: usize,
-        col: &mut PanelColumn<'_>,
-        acc: &mut (f64, f64),
-    ) {
-        let mut row_acc = 0.0;
-        for (d, &off) in self.offsets.iter().enumerate() {
-            let c = r as isize + off;
-            if c >= 0 && (c as usize) < self.n {
-                row_acc += self.values[d * self.n + r] * col.x[c as usize];
-            }
-        }
-        col.y[r] = row_acc;
-        if DOT {
-            acc.0 += col.measure[r] * row_acc;
-        }
-        if SUP {
-            acc.1 = acc.1.max((row_acc - col.x[r]).abs());
-        }
-    }
-
-    /// Multi-column twin of [`BandedMatrix`]'s fused kernel: advances a
-    /// panel of columns sharing this matrix in one pass over the
-    /// diagonals. Edge rows run per column exactly as in the single
-    /// kernel; the interior interleaves the columns within each cache
-    /// block, so each diagonal's value segment is loaded once per block
-    /// and applied to **every** column while L1-hot — k columns cost
-    /// one matrix read per iteration instead of k.
-    ///
-    /// Per column the floating-point op sequence is identical to the
-    /// single kernel on that column's own window: per-row contributions
-    /// in ascending offset order, the dot folded over globally
-    /// ascending rows (head edges, then interior, then tail edges —
-    /// edge classification depends only on the matrix interior, never
-    /// on the window), the sup a plain max. Blocking from the union's
-    /// start instead of the column's own interior start only regroups
-    /// the rows between blocks; it reorders nothing within a column, so
-    /// the outputs stay bit-identical.
-    fn panel_kernel<const DOT: bool, const SUP: bool>(
-        &self,
-        cols: &mut [PanelColumn<'_>],
-    ) -> Vec<(f64, f64)> {
-        for col in cols.iter() {
-            debug_assert_eq!(col.x.len(), self.n);
-            debug_assert_eq!(col.y.len(), self.n);
-            debug_assert!(col.rows.end <= self.n);
-            if DOT {
-                debug_assert_eq!(col.measure.len(), self.n);
-            }
-        }
-        let mut interior_lo = 0usize;
-        let mut interior_hi = self.n;
-        for &off in &self.offsets {
-            let valid = self.valid_rows(off);
-            interior_lo = interior_lo.max(valid.start);
-            interior_hi = interior_hi.min(valid.end);
-        }
-        let interior_hi = interior_hi.max(interior_lo);
-        // Each column's interior clamped to its window, exactly as the
-        // single kernel computes `ilo..ihi`.
-        let clamps: Vec<Range<usize>> = cols
-            .iter()
-            .map(|c| {
-                let ilo = c.rows.start.max(interior_lo).min(c.rows.end);
-                let ihi = c.rows.end.min(interior_hi).max(ilo);
-                ilo..ihi
-            })
-            .collect();
-        let mut out: Vec<(f64, f64)> = vec![(0.0, 0.0); cols.len()];
-
-        // Head edge rows (≤ bandwidth per column).
-        for ((col, clamp), acc) in cols.iter_mut().zip(&clamps).zip(&mut out) {
-            for r in col.rows.start..clamp.start {
-                self.panel_edge::<DOT, SUP>(r, col, acc);
-            }
-        }
-
-        // Union interior, block-interleaved across the panel.
-        let union_lo = clamps
-            .iter()
-            .filter(|c| !c.is_empty())
-            .map(|c| c.start)
-            .min();
-        if let Some(union_lo) = union_lo {
-            let union_hi = clamps.iter().map(|c| c.end).max().expect("non-empty");
-            let mut blk_lo = union_lo;
-            while blk_lo < union_hi {
-                let blk_hi = (blk_lo + INTERIOR_BLOCK_ROWS).min(union_hi);
-                for (col, clamp) in cols.iter_mut().zip(&clamps) {
-                    let lo = blk_lo.max(clamp.start);
-                    let hi = blk_hi.min(clamp.end);
-                    if lo < hi {
-                        col.y[lo..hi].fill(0.0);
-                    }
-                }
-                for (d, &off) in self.offsets.iter().enumerate() {
-                    for (col, clamp) in cols.iter_mut().zip(&clamps) {
-                        let lo = blk_lo.max(clamp.start);
-                        let hi = blk_hi.min(clamp.end);
-                        if lo < hi {
-                            let vals = &self.values[d * self.n + lo..d * self.n + hi];
-                            let xs =
-                                &col.x[(lo as isize + off) as usize..(hi as isize + off) as usize];
-                            crate::simd::mul_add(&mut col.y[lo..hi], vals, xs);
-                        }
-                    }
-                }
-                if DOT || SUP {
-                    for ((col, clamp), acc) in cols.iter_mut().zip(&clamps).zip(&mut out) {
-                        let lo = blk_lo.max(clamp.start);
-                        let hi = blk_hi.min(clamp.end);
-                        for r in lo..hi {
-                            if DOT {
-                                acc.0 += col.measure[r] * col.y[r];
-                            }
-                            if SUP {
-                                acc.1 = acc.1.max((col.y[r] - col.x[r]).abs());
-                            }
-                        }
-                    }
-                }
-                blk_lo = blk_hi;
-            }
-        }
-
-        // Tail edge rows.
-        for ((col, clamp), acc) in cols.iter_mut().zip(&clamps).zip(&mut out) {
-            for r in clamp.end..col.rows.end {
-                self.panel_edge::<DOT, SUP>(r, col, acc);
-            }
-        }
-        out
-    }
-
-    /// Multi-column product `y_j[rows_j] = (A·x_j)[rows_j]` over a
-    /// panel sharing this matrix. Bit-identical per column to
-    /// [`BandedMatrix::mul_vec_range_into`] on that column's window.
-    pub fn mul_panel_range(&self, cols: &mut [PanelColumn<'_>]) {
-        self.panel_kernel::<false, false>(cols);
-    }
-
-    /// Panel variant of [`BandedMatrix::mul_vec_dot_range`]: one pass
-    /// over the diagonals for the whole panel, returning each column's
-    /// partial dot in column order.
-    pub fn mul_panel_dot_range(&self, cols: &mut [PanelColumn<'_>]) -> Vec<f64> {
-        self.panel_kernel::<true, false>(cols)
-            .into_iter()
-            .map(|(dot, _)| dot)
-            .collect()
-    }
-
-    /// Panel variant of [`BandedMatrix::mul_vec_sup_range`]: one pass
-    /// over the diagonals for the whole panel, returning each column's
-    /// partial sup-norm in column order.
-    pub fn mul_panel_sup_range(&self, cols: &mut [PanelColumn<'_>]) -> Vec<f64> {
-        self.panel_kernel::<false, true>(cols)
-            .into_iter()
-            .map(|(_, sup)| sup)
-            .collect()
-    }
-
-    /// Fully fused panel variant of
-    /// [`BandedMatrix::mul_vec_dot_sup_range`]: product, measure dot
-    /// and steady-state sup-norm for every column from one pass over
-    /// the diagonals, returned as `(dot, sup)` pairs in column order.
-    pub fn mul_panel_dot_sup_range(&self, cols: &mut [PanelColumn<'_>]) -> Vec<(f64, f64)> {
-        self.panel_kernel::<true, true>(cols)
-    }
 }
 
 /// A borrowed matrix in whichever representation the chain ended up
@@ -787,42 +612,6 @@ impl MatrixRef<'_> {
         match self {
             MatrixRef::Csr(m) => m.mul_vec_dot_sup_range(x, y_block, measure_block, rows),
             MatrixRef::Banded(m) => m.mul_vec_dot_sup_range(x, y_block, measure_block, rows),
-        }
-    }
-
-    /// Multi-column panel product; see [`CsrMatrix::mul_panel_range`]
-    /// and [`BandedMatrix::mul_panel_range`].
-    pub fn mul_panel_range(&self, cols: &mut [PanelColumn<'_>]) {
-        match self {
-            MatrixRef::Csr(m) => m.mul_panel_range(cols),
-            MatrixRef::Banded(m) => m.mul_panel_range(cols),
-        }
-    }
-
-    /// Fused panel product + per-column dot; see
-    /// [`CsrMatrix::mul_panel_dot_range`].
-    pub fn mul_panel_dot_range(&self, cols: &mut [PanelColumn<'_>]) -> Vec<f64> {
-        match self {
-            MatrixRef::Csr(m) => m.mul_panel_dot_range(cols),
-            MatrixRef::Banded(m) => m.mul_panel_dot_range(cols),
-        }
-    }
-
-    /// Fused panel product + per-column sup; see
-    /// [`CsrMatrix::mul_panel_sup_range`].
-    pub fn mul_panel_sup_range(&self, cols: &mut [PanelColumn<'_>]) -> Vec<f64> {
-        match self {
-            MatrixRef::Csr(m) => m.mul_panel_sup_range(cols),
-            MatrixRef::Banded(m) => m.mul_panel_sup_range(cols),
-        }
-    }
-
-    /// Fully fused panel product + per-column dot + sup; see
-    /// [`CsrMatrix::mul_panel_dot_sup_range`].
-    pub fn mul_panel_dot_sup_range(&self, cols: &mut [PanelColumn<'_>]) -> Vec<(f64, f64)> {
-        match self {
-            MatrixRef::Csr(m) => m.mul_panel_dot_sup_range(cols),
-            MatrixRef::Banded(m) => m.mul_panel_dot_sup_range(cols),
         }
     }
 }
@@ -1101,95 +890,6 @@ mod tests {
     }
 
     #[test]
-    fn panel_kernels_bit_identical_to_single_columns() {
-        let n = 211;
-        let csr = lattice_like(n);
-        let band = BandedMatrix::from_csr(&csr).unwrap();
-        // Windows exercising every shape: full, head-only edge region,
-        // tail-heavy, interior-only, empty, tiny, and a duplicate of the
-        // full window so identical columns coexist in one panel.
-        let windows = [0..n, 0..2, 100..n, 4..198, 7..7, 50..53, 0..n];
-        let xs: Vec<Vec<f64>> = (0..windows.len())
-            .map(|j| {
-                (0..n)
-                    .map(|i| ((i * (j + 2)) as f64 * 0.17).sin())
-                    .collect()
-            })
-            .collect();
-        let measure: Vec<f64> = (0..n).map(|i| (i as f64 * 0.05).cos()).collect();
-        for m in [MatrixRef::from(&csr), MatrixRef::from(&band)] {
-            // References: each column through the single-vector kernel.
-            let mut expect_y = Vec::new();
-            let mut expect_ds = Vec::new();
-            for (w, x) in windows.iter().zip(&xs) {
-                let mut y = vec![0.0; n];
-                let ds =
-                    m.mul_vec_dot_sup_range(x, &mut y[w.clone()], &measure[w.clone()], w.clone());
-                expect_y.push(y);
-                expect_ds.push(ds);
-            }
-            fn make_panel<'p>(
-                ys: &'p mut [Vec<f64>],
-                windows: &[Range<usize>],
-                xs: &'p [Vec<f64>],
-                measure: &'p [f64],
-            ) -> Vec<PanelColumn<'p>> {
-                ys.iter_mut()
-                    .zip(windows)
-                    .zip(xs)
-                    .map(|((y, w), x)| PanelColumn {
-                        x,
-                        y: &mut y[..],
-                        measure,
-                        rows: w.clone(),
-                    })
-                    .collect()
-            }
-
-            // Fully fused variant.
-            let mut ys = vec![vec![0.0; n]; windows.len()];
-            let mut cols = make_panel(&mut ys, &windows, &xs, &measure);
-            let ds = m.mul_panel_dot_sup_range(&mut cols);
-            drop(cols);
-            assert_eq!(ds, expect_ds);
-            assert_eq!(ys, expect_y);
-            // Plain product.
-            let mut ys = vec![vec![0.0; n]; windows.len()];
-            let mut cols = make_panel(&mut ys, &windows, &xs, &measure);
-            m.mul_panel_range(&mut cols);
-            drop(cols);
-            assert_eq!(ys, expect_y);
-            // Dot-only and sup-only.
-            let mut ys = vec![vec![0.0; n]; windows.len()];
-            let mut cols = make_panel(&mut ys, &windows, &xs, &measure);
-            let dots = m.mul_panel_dot_range(&mut cols);
-            drop(cols);
-            let expect_dots: Vec<f64> = expect_ds.iter().map(|&(d, _)| d).collect();
-            assert_eq!(dots, expect_dots);
-            assert_eq!(ys, expect_y);
-            let mut ys = vec![vec![0.0; n]; windows.len()];
-            let mut cols = make_panel(&mut ys, &windows, &xs, &measure);
-            let sups = m.mul_panel_sup_range(&mut cols);
-            drop(cols);
-            let expect_sups: Vec<f64> = expect_ds.iter().map(|&(_, s)| s).collect();
-            assert_eq!(sups, expect_sups);
-            assert_eq!(ys, expect_y);
-            // k = 1 degenerates to the single-vector kernel.
-            let mut y1 = vec![vec![0.0; n]; 1];
-            let mut col = vec![PanelColumn {
-                x: &xs[0],
-                y: &mut y1[0][..],
-                measure: &measure,
-                rows: windows[0].clone(),
-            }];
-            let ds1 = m.mul_panel_dot_sup_range(&mut col);
-            drop(col);
-            assert_eq!(ds1, vec![expect_ds[0]]);
-            assert_eq!(y1[0], expect_y[0]);
-        }
-    }
-
-    #[test]
     fn split_evenly_covers_and_balances() {
         let parts = split_evenly(10..50, 4);
         assert_eq!(parts, vec![10..20, 20..30, 30..40, 40..50]);
@@ -1230,68 +930,6 @@ mod tests {
             prop_assert_eq!(&yc, &yb);
             prop_assert!((dc - db).abs() <= 1e-12 * dc.abs().max(1.0));
             prop_assert_eq!(sc, sb);
-        }
-
-        /// Panel kernels are bit-identical to advancing each column
-        /// through the single-vector kernel, for both representations,
-        /// across random matrices, panel widths and windows (empty,
-        /// ragged and overlapping ones included).
-        #[test]
-        fn panel_matches_single_columns(
-            n in 1usize..40,
-            k in 1usize..7,
-            trip in proptest::collection::vec((0usize..40, 0usize..40, -2.0f64..2.0), 0..80),
-            bounds in proptest::collection::vec((0usize..40, 0usize..40), 8),
-            seed in 0.0f64..10.0,
-        ) {
-            let trip: Vec<_> = trip
-                .into_iter()
-                .filter(|&(r, c, _)| r < n && c < n)
-                .collect();
-            let csr = CsrMatrix::from_triplets(n, n, trip).unwrap();
-            let band = BandedMatrix::from_csr(&csr).unwrap();
-            let measure: Vec<f64> = (0..n).map(|i| ((i as f64 - seed) * 0.23).cos()).collect();
-            let windows: Vec<Range<usize>> = bounds[..k]
-                .iter()
-                .map(|&(a, b)| {
-                    let (a, b) = (a.min(n), b.min(n));
-                    a.min(b)..a.max(b)
-                })
-                .collect();
-            let xs: Vec<Vec<f64>> = (0..k)
-                .map(|j| (0..n).map(|i| (((i + j) as f64 + seed) * 0.31).sin()).collect())
-                .collect();
-            for m in [MatrixRef::from(&csr), MatrixRef::from(&band)] {
-                let mut expect: Vec<(Vec<f64>, (f64, f64))> = Vec::new();
-                for (w, x) in windows.iter().zip(&xs) {
-                    let mut y = vec![0.0; n];
-                    let ds = m.mul_vec_dot_sup_range(
-                        x,
-                        &mut y[w.clone()],
-                        &measure[w.clone()],
-                        w.clone(),
-                    );
-                    expect.push((y, ds));
-                }
-                let mut ys: Vec<Vec<f64>> = vec![vec![0.0; n]; k];
-                let mut cols: Vec<PanelColumn<'_>> = ys
-                    .iter_mut()
-                    .zip(&windows)
-                    .zip(&xs)
-                    .map(|((y, w), x)| PanelColumn {
-                        x,
-                        y: &mut y[..],
-                        measure: &measure,
-                        rows: w.clone(),
-                    })
-                    .collect();
-                let ds = m.mul_panel_dot_sup_range(&mut cols);
-                drop(cols);
-                for (j, (ey, eds)) in expect.iter().enumerate() {
-                    prop_assert_eq!(&ys[j], ey);
-                    prop_assert_eq!(ds[j], *eds);
-                }
-            }
         }
     }
 }

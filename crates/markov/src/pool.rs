@@ -22,11 +22,7 @@
 //! are reduced in worker order, making the result deterministic for a
 //! fixed thread count. The `*_window` variants restrict a product to the
 //! active row range of the windowed transient engine, partitioning just
-//! those rows across the workers per call, and
-//! [`SpmvPool::mul_panel_dot_sup`] advances a whole panel of windowed
-//! columns sharing one matrix per call — one matrix read per iteration
-//! for the panel, bit-identical per column to the single windowed
-//! dispatch.
+//! those rows across the workers per call.
 //!
 //! With zero workers (`threads <= 1`) every method runs the sequential
 //! kernel inline, bit-compatible with [`CsrMatrix::mul_vec_into`]. The
@@ -37,7 +33,7 @@
 //! in range order).
 
 use crate::banded::{split_evenly, MatrixRef};
-use crate::sparse::{CsrMatrix, PanelColumn};
+use crate::sparse::CsrMatrix;
 use crate::MarkovError;
 use std::ops::Range;
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -79,9 +75,8 @@ impl JobMatrix {
 /// *caller* guarantees the referents stay alive and untouched until the
 /// completion message for this job arrives (all dispatch methods block
 /// on exactly that). Each job writes only `y[rows]`, and in-flight jobs
-/// targeting the same output buffer carry disjoint ranges (panel
-/// dispatches target per-column buffers that are distinct by `&mut`
-/// exclusivity), so no two workers alias the same output memory.
+/// carry disjoint ranges, so no two workers alias the same output
+/// memory.
 struct Job {
     matrix: JobMatrix,
     x: *const f64,
@@ -91,10 +86,6 @@ struct Job {
     /// Also fold the steady-state sup-norm `max |y[r] − x[r]|` into the
     /// pass (square matrices only; composes with or without `measure`).
     sup: bool,
-    /// Panel column this job advances (0 for single-vector dispatches);
-    /// echoed in the completion message so panel collections can route
-    /// each partial to its column.
-    tag: usize,
     rows: Range<usize>,
 }
 
@@ -123,9 +114,9 @@ pub struct SpmvPool {
     /// One dedicated channel per worker, so job `i` always lands on the
     /// worker owning partition range `i`.
     job_txs: Vec<Sender<Job>>,
-    /// Completion stream: `(worker index, column tag, partial dot,
-    /// partial sup)` per job.
-    done_rx: Receiver<(usize, usize, f64, f64)>,
+    /// Completion stream: `(worker index, partial dot, partial sup)`
+    /// per job.
+    done_rx: Receiver<(usize, f64, f64)>,
     handles: Vec<JoinHandle<()>>,
 }
 
@@ -157,7 +148,7 @@ impl SpmvPool {
     /// [`SpmvPool::new`] without the available-parallelism clamp.
     pub fn with_exact_threads(threads: usize) -> SpmvPool {
         let workers = if threads > 1 { threads } else { 0 };
-        let (done_tx, done_rx) = channel::<(usize, usize, f64, f64)>();
+        let (done_tx, done_rx) = channel::<(usize, f64, f64)>();
         let mut job_txs = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         for index in 0..workers {
@@ -260,7 +251,6 @@ impl SpmvPool {
                 y: y_ptr,
                 measure: measure_ptr,
                 sup,
-                tag: 0,
                 rows: rows.clone(),
             };
             tx.send(job).expect("spmv worker hung up");
@@ -273,8 +263,7 @@ impl SpmvPool {
         let mut partials = vec![0.0; self.job_txs.len()];
         let mut sup_norm = 0.0f64;
         for _ in 0..self.job_txs.len() {
-            let (index, _tag, partial_dot, partial_sup) =
-                self.done_rx.recv().expect("spmv worker died");
+            let (index, partial_dot, partial_sup) = self.done_rx.recv().expect("spmv worker died");
             partials[index] = partial_dot;
             sup_norm = sup_norm.max(partial_sup);
         }
@@ -446,94 +435,6 @@ impl SpmvPool {
         let partition = split_evenly(window, self.threads());
         Ok(self.dispatch(matrix, &partition, x, y, Some(measure), true))
     }
-
-    /// Panel twin of [`SpmvPool::mul_vec_dot_sup_window`]: advances
-    /// every column of `cols` through the shared matrix in one call,
-    /// returning `(dot, sup)` per column in column order.
-    ///
-    /// **Bit-identity contract:** each column's results are identical
-    /// to a separate [`SpmvPool::mul_vec_dot_sup_window`] call on this
-    /// pool with that column's `(x, y, measure, rows)`. Sequential
-    /// pools run the true column-interleaved panel kernel
-    /// ([`MatrixRef::mul_panel_dot_sup_range`], itself bit-identical to
-    /// the single kernel per column); threaded pools split each
-    /// column's window across the workers exactly as the single
-    /// windowed dispatch does — same `split_evenly` partition, same
-    /// worker-order dot reduction, same `window.len() < threads` inline
-    /// fallback. What the panel changes is the *schedule*: every
-    /// column's jobs are enqueued before any collection, so each worker
-    /// advances all columns over its own row range back-to-back while
-    /// the matrix block is cache-hot.
-    ///
-    /// # Errors
-    ///
-    /// [`MarkovError::InvalidArgument`] on any column's dimension
-    /// mismatch, an out-of-range window, or a non-square matrix.
-    pub fn mul_panel_dot_sup<'a>(
-        &self,
-        matrix: impl Into<MatrixRef<'a>>,
-        cols: &mut [PanelColumn<'_>],
-    ) -> Result<Vec<(f64, f64)>, MarkovError> {
-        let matrix = matrix.into();
-        require_square(matrix, "mul_panel_dot_sup")?;
-        for col in cols.iter() {
-            check_window(matrix, col.x, col.y, Some(col.measure), &col.rows)?;
-        }
-        if self.is_sequential() {
-            return Ok(matrix.mul_panel_dot_sup_range(cols));
-        }
-        let threads = self.threads();
-        let mut out: Vec<(f64, f64)> = vec![(0.0, 0.0); cols.len()];
-        let mut dispatched = vec![false; cols.len()];
-        for (tag, col) in cols.iter_mut().enumerate() {
-            if col.rows.len() < threads {
-                // Inline fallback, same as the single windowed dispatch
-                // (runs on the caller's thread while other columns'
-                // jobs are in flight — the buffers are disjoint).
-                let rows = col.rows.clone();
-                out[tag] = matrix.mul_vec_dot_sup_range(
-                    col.x,
-                    &mut col.y[rows.clone()],
-                    &col.measure[rows.clone()],
-                    rows,
-                );
-                continue;
-            }
-            dispatched[tag] = true;
-            let partition = split_evenly(col.rows.clone(), threads);
-            for (tx, rows) in self.job_txs.iter().zip(&partition) {
-                let job = Job {
-                    matrix: JobMatrix::of(matrix),
-                    x: col.x.as_ptr(),
-                    x_len: col.x.len(),
-                    y: col.y.as_mut_ptr(),
-                    measure: col.measure.as_ptr(),
-                    sup: true,
-                    tag,
-                    rows: rows.clone(),
-                };
-                tx.send(job).expect("spmv worker hung up");
-            }
-        }
-        // Collect every acknowledgement before letting the borrows go
-        // (the raw-pointer soundness handshake). Per column, dot
-        // partials reduce in worker (= row-range) order, exactly as
-        // `dispatch` reduces the single-vector case.
-        let expected = dispatched.iter().filter(|&&d| d).count() * self.job_txs.len();
-        let mut partials = vec![vec![0.0; self.job_txs.len()]; cols.len()];
-        for _ in 0..expected {
-            let (index, tag, partial_dot, partial_sup) =
-                self.done_rx.recv().expect("spmv worker died");
-            partials[tag][index] = partial_dot;
-            out[tag].1 = out[tag].1.max(partial_sup);
-        }
-        for (tag, ps) in partials.iter().enumerate() {
-            if dispatched[tag] {
-                out[tag].0 = ps.iter().sum();
-            }
-        }
-        Ok(out)
-    }
 }
 
 fn require_square(matrix: MatrixRef<'_>, what: &str) -> Result<(), MarkovError> {
@@ -587,7 +488,7 @@ impl Drop for SpmvPool {
     }
 }
 
-fn worker_loop(index: usize, jobs: &Receiver<Job>, done: &Sender<(usize, usize, f64, f64)>) {
+fn worker_loop(index: usize, jobs: &Receiver<Job>, done: &Sender<(usize, f64, f64)>) {
     while let Ok(job) = jobs.recv() {
         // SAFETY: the dispatcher blocks until our completion message, so
         // the matrix, input and output referents are alive and unaliased
@@ -617,10 +518,7 @@ fn worker_loop(index: usize, jobs: &Receiver<Job>, done: &Sender<(usize, usize, 
                 }
             }
         };
-        if done
-            .send((index, job.tag, partial_dot, partial_sup))
-            .is_err()
-        {
+        if done.send((index, partial_dot, partial_sup)).is_err() {
             return; // pool dropped mid-flight
         }
     }
@@ -789,65 +687,6 @@ mod tests {
             let xr = vec![0.0; 8];
             let mut yr = vec![0.0; 4];
             assert!(pool.mul_vec_sup_window(&rect, &xr, &mut yr, 0..4).is_err());
-        }
-    }
-
-    #[test]
-    fn panel_dispatch_bit_identical_to_single_windowed_calls() {
-        // The pool-level panel contract: per column, mul_panel_dot_sup
-        // equals mul_vec_dot_sup_window on the same pool — across
-        // thread counts, representations, and window shapes including
-        // tiny windows that take the inline fallback, empty windows,
-        // and ragged per-column divergence.
-        let n = 600;
-        let csr = banded(n);
-        let dia = BandedMatrix::from_csr(&csr).unwrap();
-        let windows = [0..n, 100..400, 0..3, 595..600, 50..50, 7..593, 0..n];
-        let xs: Vec<Vec<f64>> = (0..windows.len())
-            .map(|j| (0..n).map(|i| ((i + 3 * j) as f64 * 0.013).sin()).collect())
-            .collect();
-        let measure: Vec<f64> = (0..n).map(|i| ((i % 4) as f64) * 0.3).collect();
-        for threads in [1, 2, 3, 5, 8] {
-            let pool = SpmvPool::with_exact_threads(threads);
-            for m in [MatrixRef::from(&csr), MatrixRef::from(&dia)] {
-                let sentinel = -7.5;
-                let mut expect_y = Vec::new();
-                let mut expect_ds = Vec::new();
-                for (w, x) in windows.iter().zip(&xs) {
-                    let mut y = vec![sentinel; n];
-                    let ds = pool
-                        .mul_vec_dot_sup_window(m, x, &mut y, &measure, w.clone())
-                        .unwrap();
-                    expect_y.push(y);
-                    expect_ds.push(ds);
-                }
-                let mut ys = vec![vec![sentinel; n]; windows.len()];
-                let mut cols: Vec<PanelColumn<'_>> = ys
-                    .iter_mut()
-                    .zip(&windows)
-                    .zip(&xs)
-                    .map(|((y, w), x)| PanelColumn {
-                        x,
-                        y: &mut y[..],
-                        measure: &measure,
-                        rows: w.clone(),
-                    })
-                    .collect();
-                let ds = pool.mul_panel_dot_sup(m, &mut cols).unwrap();
-                drop(cols);
-                assert_eq!(ds, expect_ds, "threads = {threads}");
-                assert_eq!(ys, expect_y, "threads = {threads}");
-            }
-            // Column validation: a bad window anywhere in the panel is
-            // rejected before anything runs.
-            let mut y = vec![0.0; n];
-            let mut bad = vec![PanelColumn {
-                x: &xs[0],
-                y: &mut y[..],
-                measure: &measure,
-                rows: 0..n + 1,
-            }];
-            assert!(pool.mul_panel_dot_sup(&dia, &mut bad).is_err());
         }
     }
 

@@ -47,7 +47,6 @@ use crate::budget::Budget;
 use crate::ctmc::Ctmc;
 use crate::foxglynn::FoxGlynnCache;
 use crate::pool::SpmvPool;
-use crate::sparse::PanelColumn;
 use crate::MarkovError;
 use std::ops::Range;
 
@@ -192,6 +191,25 @@ fn split_epsilon(epsilon: f64, windowed: bool) -> (f64, f64) {
     }
 }
 
+/// Offset `n₀` of the active window's trim schedule: the allowances
+/// fall off like `1/(n + n₀)²`, so half of the trim budget is on offer
+/// over the first `n₀` products and the rest stays available to long
+/// sweeps (Poisson right points here run from about 10³ to 4·10⁴).
+const TRIM_SCHEDULE_OFFSET: f64 = 4096.0;
+
+/// The active window's trim allowance for the trim after product `n`
+/// (`n ≥ 1`): `trim_budget · n₀ / ((n + n₀ − 1)(n + n₀))`. The
+/// allowances telescope, so the first `N` of them sum to
+/// `trim_budget · N / (N + n₀)` and the window never spends more than
+/// its share of ε, however long the sweep runs. The schedule depends on
+/// the iteration alone, never on the Poisson horizon: a sweep stopped at
+/// any `n` is the exact prefix of a longer one, which is what lets
+/// [`CurveCache`] extend windowed sweeps across a rate-rescale family.
+fn trim_allowance(trim_budget: f64, n: usize) -> f64 {
+    let k = n as f64 + TRIM_SCHEDULE_OFFSET;
+    trim_budget * TRIM_SCHEDULE_OFFSET / ((k - 1.0) * k)
+}
+
 /// Computes `π(t)` with explicit [`TransientOptions`].
 ///
 /// # Errors
@@ -264,7 +282,6 @@ pub fn transient_distribution_budgeted(
     }
     if let Some(band) = if windowed { pt.as_banded() } else { None } {
         // Active-window sweep: restrict every product to the live rows.
-        let allowance = trim_budget / (fg.right() as f64 + 1.0);
         let mut v_win = support_range(&v);
         let mut next_win = 0..0;
         for n in 1..=fg.right() {
@@ -285,7 +302,7 @@ pub fn transient_distribution_budgeted(
                 accumulate(&mut out, &v, remaining, &v_win);
                 break;
             }
-            deficit += trim_window(&mut v, &mut v_win, allowance);
+            deficit += trim_window(&mut v, &mut v_win, trim_allowance(trim_budget, n));
         }
     } else {
         let partition = pt.as_ref().partition(pool.threads());
@@ -365,19 +382,20 @@ pub fn measure_curve(
 ///    reused only when bitwise identity with an independent solve is
 ///    provable: the member's `Pᵀ` must equal the cached one bit for bit
 ///    (true across rate-rescaled scenario families, `Q' = γQ` with `γ` a
-///    power of two, since `P = I + Q/ν` is then unchanged), `α`, the
-///    measure and the [`TransientOptions`] must match, and either the
-///    active window is off (the iterates never depend on the horizon) or
-///    ν and the largest time agree too (the window's per-iteration trim
-///    allowance is horizon-dependent). A member needing a larger Poisson
-///    right point **extends** the cached sweep from the stored last
-///    iterate instead of restarting it, so a whole rescale family costs
-///    one sweep to the family's largest `ν·t` plus a Poisson remix per
-///    member.
+///    power of two, since `P = I + Q/ν` is then unchanged), and `α`, the
+///    measure and the [`TransientOptions`] must match. ν and the horizon
+///    may differ: the iterates never depend on them, for the
+///    active-window engine too, because its trim allowance follows a
+///    horizon-free schedule. A member needing a larger Poisson right
+///    point **extends** the cached sweep from the stored last iterate
+///    and its active window instead of restarting it, so a whole rescale
+///    family costs one sweep to the family's largest `ν·t` plus a
+///    Poisson remix per member, in either storage format.
 ///
 /// Reused members report only the matrix products *this call* performed
 /// in `iterations`/`touched_entries` (zero for a pure remix) and inherit
-/// the group sweep's `window_deficit`.
+/// the cached sweep's `window_deficit`, which bounds their own trimmed
+/// mass from above (the sweep trims a superset of their iterations).
 #[derive(Debug, Default)]
 pub struct CurveCache {
     state: Option<CacheState>,
@@ -394,8 +412,6 @@ struct CacheState {
     /// the key gating offset reuse across cache entries.
     source_fp: u64,
     pt: TransitionMatrix,
-    nu: f64,
-    t_max: f64,
     alpha: Vec<f64>,
     measure: Vec<f64>,
     /// `s[n] = measure · (alpha Pⁿ)` for `n = 0..=iterations`.
@@ -403,8 +419,123 @@ struct CacheState {
     /// The iterate `alpha P^{iterations}`, kept so a later member with a
     /// larger right truncation point can continue the sweep.
     v: Vec<f64>,
+    /// The active window of `v` (`v` is exactly zero outside it); the
+    /// whole state space when the engine runs without a window.
+    v_win: Range<usize>,
     converged_at: Option<usize>,
     window_deficit: f64,
+}
+
+impl CacheState {
+    /// A sweep at `n = 0`: just `α` and its measure.
+    fn start(
+        opts: TransientOptions,
+        source_fp: u64,
+        pt: TransitionMatrix,
+        alpha: &[f64],
+        measure: &[f64],
+    ) -> CacheState {
+        let windowed = opts.active_window && pt.as_banded().is_some();
+        let v_win = if windowed {
+            support_range(alpha)
+        } else {
+            0..alpha.len()
+        };
+        CacheState {
+            opts,
+            source_fp,
+            pt,
+            alpha: alpha.to_vec(),
+            measure: measure.to_vec(),
+            s: vec![dot(alpha, measure)],
+            v: alpha.to_vec(),
+            v_win,
+            converged_at: None,
+            window_deficit: 0.0,
+        }
+    }
+
+    /// Continues the sweep until `s` covers `0..=n_max` or the iterates
+    /// converge, adding the products performed to `iterations` and
+    /// `touched`. Fresh sweeps and extensions both run this loop, so an
+    /// extended sweep holds exactly the iterates a single longer sweep
+    /// computes. Every iteration commits whole before the next budget
+    /// check: a cancelled call leaves a consistent, shorter sweep.
+    fn advance(
+        &mut self,
+        pool: &SpmvPool,
+        n_max: usize,
+        trim_budget: f64,
+        budget: &Budget,
+        iterations: &mut usize,
+        touched: &mut u64,
+    ) -> Result<(), MarkovError> {
+        if self.converged_at.is_some() || self.s.len() > n_max {
+            return Ok(());
+        }
+        self.s.reserve(n_max + 1 - self.s.len());
+        let band = if self.opts.active_window {
+            self.pt.as_banded()
+        } else {
+            None
+        };
+        let partition = match band {
+            Some(_) => Vec::new(),
+            None => self.pt.as_ref().partition(pool.threads()),
+        };
+        let per_product = self.pt.entries_per_product() as u64;
+        let tolerance = self.opts.steady_state_tolerance;
+        // Both buffers stay exactly zero outside their windows, so the
+        // windowed dot and sup-norm equal their full-space values.
+        let mut next = vec![0.0; self.v.len()];
+        let mut next_win = 0..0;
+        for n in self.s.len()..=n_max {
+            budget.check(*iterations)?;
+            // One fully fused pass: v_{n+1} = Pᵀ·v_n, s_{n+1} =
+            // measure·v_{n+1} and the steady-state sup-norm
+            // |v_{n+1} − v_n|_∞, with no separate dot or convergence
+            // sweep over the iterate.
+            let (s_n, sup) = match band {
+                Some(band) => {
+                    let grown = band.grow_window(&self.v_win);
+                    zero_outside(&mut next, &next_win, &grown);
+                    let fused = pool.mul_vec_dot_sup_window(
+                        band,
+                        &self.v,
+                        &mut next,
+                        &self.measure,
+                        grown.clone(),
+                    )?;
+                    *touched += band.entries_in(&grown) as u64;
+                    next_win = std::mem::replace(&mut self.v_win, grown);
+                    fused
+                }
+                None => {
+                    let fused = pool.mul_vec_dot_sup(
+                        &self.pt,
+                        &partition,
+                        &self.v,
+                        &mut next,
+                        &self.measure,
+                    )?;
+                    *touched += per_product;
+                    fused
+                }
+            };
+            std::mem::swap(&mut self.v, &mut next);
+            *iterations += 1;
+            self.s.push(s_n);
+            if tolerance > 0.0 && sup < tolerance {
+                self.converged_at = Some(n);
+                break;
+            }
+            if band.is_some() {
+                self.window_deficit +=
+                    trim_window(&mut self.v, &mut self.v_win, trim_allowance(trim_budget, n));
+            }
+        }
+        Ok(())
+    }
 }
 
 impl CurveCache {
@@ -604,111 +735,40 @@ pub fn measure_curve_budgeted(
 
     // Can the cached sweep stand in for this member's? Only when the
     // iterates are provably the same bits an independent solve would
-    // produce: identical P (bitwise), α, measure and options — and, for
-    // the active-window engine, identical ν and horizon too, because the
-    // per-iteration trim allowance depends on the Poisson right point.
+    // produce: identical P (bitwise), α, measure and options. The
+    // horizon never enters the iterates (see `trim_allowance`), so a
+    // member with a larger ν·t extends the cached sweep and a smaller
+    // one remixes it.
     let reusable = cache.state.as_ref().is_some_and(|st| {
-        st.opts == *opts
-            && st.pt == pt
-            && st.alpha == alpha
-            && st.measure == measure
-            && (!windowed || (st.nu == nu && st.t_max == t_max))
+        st.opts == *opts && st.pt == pt && st.alpha == alpha && st.measure == measure
     });
 
     let mut iterations = 0;
     let mut touched: u64 = 0;
-    if !reusable {
-        // Full sweep: cache s_n = measure·v_n for n = 0..=n_max (or until
-        // the iterates converge). The fused kernel returns measure·v_{n+1}
-        // from the same pass that computes v_{n+1}.
-        let mut s = Vec::with_capacity(n_max + 1);
-        let mut v = alpha.to_vec();
-        let mut next = vec![0.0; ctmc.n_states()];
-        s.push(dot(&v, measure));
-        let mut converged_at = None;
-        let mut deficit = 0.0;
-        if let Some(band) = if windowed { pt.as_banded() } else { None } {
-            // Active-window sweep; see the module docs for the invariants
-            // (both buffers are exactly zero outside their windows, so the
-            // windowed dot and sup-norm equal their full-space values).
-            let allowance = trim_budget / (n_max as f64 + 1.0);
-            let mut v_win = support_range(&v);
-            let mut next_win = 0..0;
-            for n in 1..=n_max {
-                budget.check(iterations)?;
-                let grown = band.grow_window(&v_win);
-                zero_outside(&mut next, &next_win, &grown);
-                let (s_n, sup) =
-                    pool.mul_vec_dot_sup_window(band, &v, &mut next, measure, grown.clone())?;
-                touched += band.entries_in(&grown) as u64;
-                std::mem::swap(&mut v, &mut next);
-                next_win = std::mem::replace(&mut v_win, grown);
-                iterations += 1;
-                s.push(s_n);
-                if opts.steady_state_tolerance > 0.0 && sup < opts.steady_state_tolerance {
-                    converged_at = Some(n);
-                    break;
-                }
-                deficit += trim_window(&mut v, &mut v_win, allowance);
-            }
-        } else {
-            let partition = pt.as_ref().partition(pool.threads());
-            let per_product = pt.entries_per_product() as u64;
-            for n in 1..=n_max {
-                budget.check(iterations)?;
-                // One fully fused pass: v_{n+1} = Pᵀ·v_n, s_{n+1} =
-                // measure·v_{n+1} and the steady-state sup-norm
-                // |v_{n+1} − v_n|_∞, with no separate dot or convergence
-                // sweep over the iterate.
-                let (s_n, sup) = pool.mul_vec_dot_sup(&pt, &partition, &v, &mut next, measure)?;
-                touched += per_product;
-                std::mem::swap(&mut v, &mut next);
-                iterations += 1;
-                s.push(s_n);
-                if opts.steady_state_tolerance > 0.0 && sup < opts.steady_state_tolerance {
-                    converged_at = Some(n);
-                    break;
-                }
-            }
-        }
-        cache.state = Some(CacheState {
-            opts: *opts,
-            source_fp: member_fp,
-            pt,
-            nu,
-            t_max,
-            alpha: alpha.to_vec(),
-            measure: measure.to_vec(),
-            s,
-            v,
-            converged_at,
-            window_deficit: deficit,
-        });
-    } else {
+    if reusable {
         cache.last_shared = true;
         let state = cache.state.as_mut().expect("reusable implies cached");
-        // Extend the cached sweep when this member's Poisson window
-        // reaches past it (only the horizon-independent engines get
-        // here, so the continued iterates are exactly the ones an
-        // independent solve would have computed at those n).
-        if state.converged_at.is_none() && state.s.len() <= n_max {
-            let partition = state.pt.as_ref().partition(pool.threads());
-            let per_product = state.pt.entries_per_product() as u64;
-            let mut next = vec![0.0; ctmc.n_states()];
-            for n in state.s.len()..=n_max {
-                budget.check(iterations)?;
-                let (s_n, sup) =
-                    pool.mul_vec_dot_sup(&state.pt, &partition, &state.v, &mut next, measure)?;
-                touched += per_product;
-                std::mem::swap(&mut state.v, &mut next);
-                iterations += 1;
-                state.s.push(s_n);
-                if opts.steady_state_tolerance > 0.0 && sup < opts.steady_state_tolerance {
-                    state.converged_at = Some(n);
-                    break;
-                }
-            }
-        }
+        state.advance(
+            pool,
+            n_max,
+            trim_budget,
+            budget,
+            &mut iterations,
+            &mut touched,
+        )?;
+    } else {
+        // A fresh sweep is committed only once complete: a cancelled one
+        // leaves the cache as it was.
+        let mut state = CacheState::start(*opts, member_fp, pt, alpha, measure);
+        state.advance(
+            pool,
+            n_max,
+            trim_budget,
+            budget,
+            &mut iterations,
+            &mut touched,
+        )?;
+        cache.state = Some(state);
     }
     let state = cache.state.as_ref().expect("sweep just ran or was reused");
     let points = remix_curve(times, nu, &state.s, &mut cache.fg, fg_epsilon)?;
@@ -763,325 +823,6 @@ fn remix_curve(
         prev = Some((t, value));
     }
     Ok(points)
-}
-
-/// One member of a column-panel solve: a chain and its requested time
-/// points. The initial distribution and the measure are shared across
-/// the whole panel (that is what makes the joint sweep possible).
-#[derive(Debug, Clone, Copy)]
-pub struct PanelMember<'a> {
-    /// The member's chain. Members whose uniformised `Pᵀ` is **bitwise
-    /// identical** (rate-rescale families `Q' = γQ` with `γ` a power of
-    /// two) are advanced through the same products together.
-    pub ctmc: &'a Ctmc,
-    /// The member's requested time points (unsorted, duplicates fine —
-    /// same contract as [`measure_curve`]).
-    pub times: &'a [f64],
-}
-
-/// Result of [`measure_curves_panel`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct PanelSolution {
-    /// Per-member curves, in the caller's member order. Each is
-    /// **bit-identical** to what the single-vector path would have
-    /// produced for that member (see [`measure_curves_panel`]).
-    pub curves: Vec<CurveSolution>,
-    /// How the members were grouped, in order of first appearance: one
-    /// entry per panel, its value the panel's column count. Members the
-    /// windowed panel engine cannot take (CSR representation, active
-    /// window off, `ν = 0` or `t_max = 0`) each form a size-1 panel and
-    /// run the plain single-vector engine; `k = 1` therefore reports
-    /// `[1]` and dispatches to the unpaneled kernels.
-    pub panel_sizes: Vec<usize>,
-    /// Matrix slots actually read by this call: per joint-panel
-    /// iteration the entries of the **union** of the live columns'
-    /// windows (read once for the whole panel), plus each serial
-    /// member's own `touched_entries`. Compare against the sum of the
-    /// per-curve `touched_entries` (what k independent sweeps would
-    /// have read) for the panel's saving.
-    pub panel_touched_entries: u64,
-}
-
-/// Per-column state of a joint panel sweep — the exact mirror of the
-/// single-vector active-window loop in [`measure_curve_budgeted`], one
-/// copy per column.
-#[derive(Debug)]
-struct PanelColState {
-    /// Index into the caller's member slice.
-    member: usize,
-    nu: f64,
-    /// The column's own Poisson right point: it stops multiplying at its
-    /// own horizon even while longer columns continue.
-    n_max: usize,
-    /// The column's own per-iteration trim allowance
-    /// (`trim_budget / (n_max + 1)` — horizon-dependent, hence
-    /// per-column).
-    allowance: f64,
-    v: Vec<f64>,
-    next: Vec<f64>,
-    v_win: Range<usize>,
-    next_win: Range<usize>,
-    grown: Range<usize>,
-    s: Vec<f64>,
-    converged_at: Option<usize>,
-    deficit: f64,
-    touched: u64,
-    iterations: usize,
-    live: bool,
-}
-
-/// Solves a whole family of curves `t ↦ m·π_j(t)` — one per member, all
-/// sharing the same `α` and measure — advancing members with bitwise
-/// identical `Pᵀ` through uniformisation **together**: one pass over
-/// each matrix diagonal per iteration feeds every column of the panel
-/// (`Pᵀ·[v₁ … v_k]`), instead of re-reading the matrix k times.
-///
-/// Grouping is by provable bitwise equality of the uniformised `Pᵀ`
-/// (true across rate-rescale families `Q' = γQ` with `γ` a power of
-/// two, since `P = I + Q/ν` is then unchanged while ν differs). Only
-/// the banded active-window engine panels — it is the one engine whose
-/// horizon-dependent trim allowance prevents the serial
-/// [`CurveCache`] from sharing sweeps across rescaled members, so it is
-/// where the joint sweep actually saves matrix traffic. Everything else
-/// (CSR, window off, `ν = 0`, `t_max = 0`) runs the unpaneled
-/// single-vector engine through one shared serial [`CurveCache`],
-/// exactly as a sweep-plan group would have.
-///
-/// **Bit-identity:** every returned [`CurveSolution`] — points and
-/// diagnostics — equals what [`measure_curve_budgeted`] would produce
-/// for that member with a fresh cache. Each column keeps its own
-/// iterate, window, trim allowance and deficit accounting; the joint
-/// product applies the same per-row contributions in the same order as
-/// the single-vector kernel (see [`SpmvPool::mul_panel_dot_sup`]); and
-/// each column converges or stops at its own horizon independently. A
-/// panel of one column degenerates to the single-vector path.
-///
-/// The `budget` is checked once per live column per iteration, before
-/// the joint product — the same one-check-per-column-product cadence as
-/// k serial solves — and [`MarkovError::DeadlineExceeded`] carries the
-/// column-products completed by the interrupted panel.
-///
-/// # Errors
-///
-/// As for [`measure_curve`] (every member is validated up front, before
-/// any sweep runs), plus [`MarkovError::DeadlineExceeded`] when the
-/// budget expires.
-pub fn measure_curves_panel(
-    members: &[PanelMember<'_>],
-    alpha: &[f64],
-    measure: &[f64],
-    opts: &TransientOptions,
-    budget: &Budget,
-) -> Result<PanelSolution, MarkovError> {
-    if members.is_empty() {
-        return Err(MarkovError::InvalidArgument(
-            "no panel members provided".into(),
-        ));
-    }
-    for m in members {
-        m.ctmc.check_distribution(alpha)?;
-        if measure.len() != m.ctmc.n_states() {
-            return Err(MarkovError::InvalidArgument(format!(
-                "measure has {} entries but chain has {} states",
-                measure.len(),
-                m.ctmc.n_states()
-            )));
-        }
-        if m.times.is_empty() {
-            return Err(MarkovError::InvalidArgument(
-                "no time points requested".into(),
-            ));
-        }
-        if m.times.iter().any(|&t| !t.is_finite() || t < 0.0) {
-            return Err(MarkovError::InvalidArgument(
-                "times must be finite and ≥ 0".into(),
-            ));
-        }
-    }
-
-    // Build every member's Pᵀ up front and decide panel eligibility:
-    // only the banded active-window engine panels (see the function
-    // docs for why).
-    let mut built: Vec<(TransitionMatrix, f64, f64, bool)> = Vec::with_capacity(members.len());
-    for m in members {
-        let (pt, nu) = build_transposed(m.ctmc, opts)?;
-        let t_max = m.times.iter().cloned().fold(0.0, f64::max);
-        let windowed = opts.active_window && pt.as_banded().is_some() && nu > 0.0 && t_max > 0.0;
-        built.push((pt, nu, t_max, windowed));
-    }
-
-    // Group eligible members by bitwise-identical Pᵀ, preserving first
-    // appearance order; everything else is its own size-1 group.
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    for (i, (pt, _, _, windowed)) in built.iter().enumerate() {
-        if *windowed {
-            if let Some(group) = groups
-                .iter_mut()
-                .find(|g| built[g[0]].3 && built[g[0]].0 == *pt)
-            {
-                group.push(i);
-                continue;
-            }
-        }
-        groups.push(vec![i]);
-    }
-    let panel_sizes: Vec<usize> = groups.iter().map(|g| g.len()).collect();
-
-    let (fg_epsilon, trim_mass) = split_epsilon(opts.epsilon, true);
-    let m_inf = measure.iter().fold(0.0f64, |a, &b| a.max(b.abs()));
-    let trim_budget = trim_mass / m_inf.max(1.0);
-    let mut fg = FoxGlynnCache::default();
-    let mut pool: Option<SpmvPool> = None;
-    let mut serial_cache = CurveCache::new();
-    let mut curves: Vec<Option<CurveSolution>> = members.iter().map(|_| None).collect();
-    let mut panel_touched: u64 = 0;
-
-    for group in &groups {
-        if group.len() == 1 {
-            // Singleton panel: the plain single-vector engine, with one
-            // serial cache shared across all singletons (the sweep-plan
-            // group behaviour).
-            let i = group[0];
-            let sol = measure_curve_budgeted(
-                members[i].ctmc,
-                alpha,
-                members[i].times,
-                measure,
-                opts,
-                &mut serial_cache,
-                budget,
-            )?;
-            panel_touched += sol.touched_entries;
-            curves[i] = Some(sol);
-            continue;
-        }
-
-        // Joint panel sweep. All columns share the matrix bits; each
-        // keeps its own iterate, window schedule and horizon.
-        let band = built[group[0]]
-            .0
-            .as_banded()
-            .expect("panel groups are banded by construction");
-        let threads = effective_threads(opts.threads, band.rows());
-        if pool
-            .as_ref()
-            .is_none_or(|p| p.threads() != SpmvPool::clamped_threads(threads))
-        {
-            pool = Some(SpmvPool::new(threads));
-        }
-        let pool = pool.as_ref().expect("pool just ensured");
-
-        let mut cols: Vec<PanelColState> = Vec::with_capacity(group.len());
-        for &i in group {
-            let (_, nu, t_max, _) = built[i];
-            fg.compute(nu * t_max, fg_epsilon)?;
-            let n_max = fg.right();
-            let v = alpha.to_vec();
-            let v_win = support_range(&v);
-            cols.push(PanelColState {
-                member: i,
-                nu,
-                n_max,
-                allowance: trim_budget / (n_max as f64 + 1.0),
-                s: vec![dot(&v, measure)],
-                next: vec![0.0; v.len()],
-                v,
-                v_win,
-                next_win: 0..0,
-                grown: 0..0,
-                converged_at: None,
-                deficit: 0.0,
-                touched: 0,
-                iterations: 0,
-                live: false,
-            });
-        }
-
-        let mut completed = 0usize;
-        for n in 1.. {
-            for c in cols.iter_mut() {
-                c.live = c.converged_at.is_none() && n <= c.n_max;
-            }
-            let live_count = cols.iter().filter(|c| c.live).count();
-            if live_count == 0 {
-                break;
-            }
-            // Same check cadence as k serial solves: one per column
-            // product, before the product.
-            for _ in 0..live_count {
-                budget.check(completed)?;
-            }
-            // Grow each live column's window and keep its scratch
-            // buffer zero outside it — per column, exactly the single
-            // path's pre-product steps.
-            let mut union: Option<Range<usize>> = None;
-            for c in cols.iter_mut().filter(|c| c.live) {
-                c.grown = band.grow_window(&c.v_win);
-                zero_outside(&mut c.next, &c.next_win, &c.grown);
-                union = Some(match union {
-                    None => c.grown.clone(),
-                    Some(u) => u.start.min(c.grown.start)..u.end.max(c.grown.end),
-                });
-            }
-            // The joint product reads each matrix slot in the union of
-            // the live windows once, for every column.
-            panel_touched += band.entries_in(&union.expect("some live column")) as u64;
-            let mut panel: Vec<PanelColumn<'_>> = cols
-                .iter_mut()
-                .filter(|c| c.live)
-                .map(|c| {
-                    let PanelColState { v, next, grown, .. } = c;
-                    let x: &[f64] = v;
-                    let y: &mut [f64] = next;
-                    PanelColumn {
-                        x,
-                        y,
-                        measure,
-                        rows: grown.clone(),
-                    }
-                })
-                .collect();
-            let results = pool.mul_panel_dot_sup(band, &mut panel)?;
-            drop(panel);
-            for (c, &(s_n, sup)) in cols.iter_mut().filter(|c| c.live).zip(&results) {
-                // Per-column accounting of what this column would have
-                // cost alone — the baseline the panel saving is
-                // measured against.
-                c.touched += band.entries_in(&c.grown) as u64;
-                std::mem::swap(&mut c.v, &mut c.next);
-                c.next_win = std::mem::replace(&mut c.v_win, c.grown.clone());
-                c.iterations += 1;
-                completed += 1;
-                c.s.push(s_n);
-                if opts.steady_state_tolerance > 0.0 && sup < opts.steady_state_tolerance {
-                    c.converged_at = Some(n);
-                } else {
-                    c.deficit += trim_window(&mut c.v, &mut c.v_win, c.allowance);
-                }
-            }
-        }
-
-        for c in &cols {
-            let points = remix_curve(members[c.member].times, c.nu, &c.s, &mut fg, fg_epsilon)?;
-            curves[c.member] = Some(CurveSolution {
-                points,
-                iterations: c.iterations,
-                converged_at: c.converged_at,
-                nu: c.nu,
-                touched_entries: c.touched,
-                window_deficit: c.deficit,
-            });
-        }
-    }
-
-    Ok(PanelSolution {
-        curves: curves
-            .into_iter()
-            .map(|c| c.expect("every member solved by exactly one group"))
-            .collect(),
-        panel_sizes,
-        panel_touched_entries: panel_touched,
-    })
 }
 
 /// Caps the worker count at something useful for the matrix: tiny chains
@@ -1563,39 +1304,44 @@ mod tests {
     }
 
     #[test]
-    fn cached_windowed_engine_only_shares_exact_repeats() {
+    fn cached_windowed_engine_shares_rescaled_members() {
         let n = 200;
         let chain = lattice_chain(n, 1.0, 0.3);
         let alpha = point_mass(n, n - 1);
         let mut measure = vec![0.0; n];
         measure[0] = 1.0;
         let times = [10.0, 60.0];
-        let opts = TransientOptions {
-            representation: Representation::Banded,
-            active_window: true,
-            ..Default::default()
-        };
+        let opts = windowed_opts();
         let mut cache = CurveCache::new();
         let first =
             measure_curve_cached(&chain, &alpha, &times, &measure, &opts, &mut cache).unwrap();
         assert!(!cache.last_solve_shared());
-        // An exact repeat (same ν, same horizon) reuses the whole sweep…
+        // An exact repeat reuses the whole sweep…
         let repeat =
             measure_curve_cached(&chain, &alpha, &times, &measure, &opts, &mut cache).unwrap();
         assert!(cache.last_solve_shared());
         assert_eq!(repeat.iterations, 0);
         assert_eq!(repeat.points, first.points);
         assert_eq!(repeat.window_deficit, first.window_deficit);
-        // …but a rescaled member must NOT reuse it: the window's trim
-        // allowance depends on the horizon's Poisson right point, so only
-        // a fresh sweep is bit-identical to an independent solve.
+        // …and so does a rescaled member: the trim schedule is
+        // horizon-free, so extending the windowed sweep from its last
+        // iterate and window is bit-identical to an independent solve.
         let double = scaled_chain(&chain, 2.0);
         let cached =
             measure_curve_cached(&double, &alpha, &times, &measure, &opts, &mut cache).unwrap();
-        assert!(!cache.last_solve_shared());
+        assert!(cache.last_solve_shared());
         let independent = measure_curve(&double, &alpha, &times, &measure, &opts).unwrap();
         assert_eq!(cached.points, independent.points);
-        assert_eq!(cached.iterations, independent.iterations);
+        assert_eq!(cached.window_deficit, independent.window_deficit);
+        assert_eq!(
+            first.iterations + cached.iterations,
+            independent.iterations,
+            "the extension runs only the products past the cached sweep"
+        );
+        assert_eq!(
+            first.touched_entries + cached.touched_entries,
+            independent.touched_entries
+        );
     }
 
     #[test]
@@ -1815,8 +1561,8 @@ mod tests {
         assert_eq!(plain.touched_entries, budgeted.touched_entries);
     }
 
-    /// The windowed panel options every panel test uses: the one engine
-    /// the joint sweep takes.
+    /// Banded storage with the active window: the engine whose family
+    /// sharing rests on the horizon-free trim schedule.
     fn windowed_opts() -> TransientOptions {
         TransientOptions {
             representation: Representation::Banded,
@@ -1826,12 +1572,34 @@ mod tests {
     }
 
     #[test]
-    fn panel_is_bit_identical_to_single_sweeps_on_rescale_family() {
-        // The tentpole contract: a rate-rescale family (γ a power of
-        // two keeps Pᵀ bitwise identical) advanced as one panel yields
-        // exactly the curves — points AND diagnostics — that k
-        // independent single-vector sweeps produce, while reading the
-        // matrix roughly once instead of k times.
+    fn trim_schedule_partial_sums_never_exceed_the_budget() {
+        let n_max = 1_000_000;
+        for budget in [5e-11, 1.0, 3.7e-200] {
+            let mut sum = 0.0;
+            for n in 1..=n_max {
+                sum += trim_allowance(budget, n);
+                assert!(
+                    sum <= budget,
+                    "budget {budget:e}: partial sum {sum:e} at n = {n}"
+                );
+            }
+            // The telescoped total `N / (N + n₀)` of the budget is on
+            // offer, up to rounding.
+            let total = n_max as f64 / (n_max as f64 + TRIM_SCHEDULE_OFFSET);
+            assert!(
+                (sum / budget - total).abs() < 1e-9,
+                "budget {budget:e}: {sum:e}"
+            );
+        }
+        assert_eq!(trim_allowance(0.0, 7), 0.0);
+    }
+
+    #[test]
+    fn shared_windowed_family_reads_what_the_widest_solo_reads() {
+        // A rate-rescale family (γ a power of two keeps Pᵀ bitwise
+        // identical) through one cache: every member's curve equals its
+        // independent solve bit for bit, and the family together reads
+        // exactly the matrix slots of the widest member's solo sweep.
         let n = 300;
         let chain = lattice_chain(n, 1.0, 0.3);
         let alpha = point_mass(n, n - 1);
@@ -1839,205 +1607,126 @@ mod tests {
         measure[0] = 1.0;
         let times = [5.0, 40.0, 120.0, 300.0];
         let opts = windowed_opts();
-        let chains: Vec<Ctmc> = [0.125, 0.25, 0.5, 1.0]
-            .iter()
-            .map(|&g| scaled_chain(&chain, g))
-            .collect();
-        let members: Vec<PanelMember<'_>> = chains
-            .iter()
-            .map(|c| PanelMember {
-                ctmc: c,
-                times: &times,
-            })
-            .collect();
-        let panel =
-            measure_curves_panel(&members, &alpha, &measure, &opts, &Budget::unlimited()).unwrap();
-        assert_eq!(panel.panel_sizes, vec![4]);
-        let mut solo_touched = 0u64;
-        for (m, got) in members.iter().zip(&panel.curves) {
-            let solo = measure_curve(m.ctmc, &alpha, m.times, &measure, &opts).unwrap();
-            assert_eq!(*got, solo);
-            solo_touched += solo.touched_entries;
+        let mut cache = CurveCache::new();
+        let (mut family_touched, mut widest) = (0u64, None);
+        for gamma in [0.125, 0.25, 0.5, 1.0] {
+            let member = scaled_chain(&chain, gamma);
+            let shared =
+                measure_curve_cached(&member, &alpha, &times, &measure, &opts, &mut cache).unwrap();
+            let solo = measure_curve(&member, &alpha, &times, &measure, &opts).unwrap();
+            assert_eq!(shared.points, solo.points, "γ = {gamma}");
+            assert_eq!(shared.window_deficit, solo.window_deficit, "γ = {gamma}");
+            assert!(shared.window_deficit <= opts.epsilon / 2.0);
+            assert_eq!(cache.last_solve_shared(), gamma > 0.125);
+            family_touched += shared.touched_entries;
+            widest = Some(solo);
         }
-        // The saving is real: the union read beats k independent reads.
-        assert!(
-            panel.panel_touched_entries < solo_touched,
-            "panel {} vs solo {}",
-            panel.panel_touched_entries,
-            solo_touched
-        );
-        // And not trivially (k = 4 near-identical windows should share
-        // most of the traffic).
-        assert!(solo_touched as f64 / panel.panel_touched_entries as f64 > 1.5);
+        let widest = widest.expect("non-empty family");
+        assert_eq!(family_touched, widest.touched_entries);
     }
 
     #[test]
-    fn panel_of_one_degenerates_to_the_single_path() {
-        let n = 200;
-        let chain = lattice_chain(n, 1.0, 0.3);
-        let alpha = point_mass(n, n - 1);
-        let mut measure = vec![0.0; n];
-        measure[0] = 1.0;
-        let times = [10.0, 60.0];
-        let opts = windowed_opts();
-        let members = [PanelMember {
-            ctmc: &chain,
-            times: &times,
-        }];
-        let panel =
-            measure_curves_panel(&members, &alpha, &measure, &opts, &Budget::unlimited()).unwrap();
-        let solo = measure_curve(&chain, &alpha, &times, &measure, &opts).unwrap();
-        assert_eq!(panel.panel_sizes, vec![1]);
-        assert_eq!(panel.curves, vec![solo.clone()]);
-        assert_eq!(panel.panel_touched_entries, solo.touched_entries);
-    }
-
-    #[test]
-    fn panel_handles_ragged_horizons_and_early_convergence() {
-        // Two columns over the same matrix bits with very different
-        // horizons: the short one stops at its own Poisson right point
-        // while the long one keeps multiplying until the iterates reach
-        // steady state — per-column n_max, allowance and convergence.
+    fn shared_windowed_sweep_handles_ragged_horizons_and_early_convergence() {
+        // Ragged horizons both ways round: a small-γ member first is
+        // extended for a larger one, a large-γ member first is remixed
+        // for a smaller one. The long horizon reaches steady state well
+        // before its Poisson right point, inside the shared sweep.
         let n = 200;
         let chain = lattice_chain(n, 2.0, 0.1);
         let alpha = point_mass(n, n - 1);
         let mut measure = vec![0.0; n];
         measure[0] = 1.0;
-        let short = [3.0];
-        let long = [100.0, 400.0];
+        let times = [3.0, 100.0, 400.0];
         let opts = windowed_opts();
-        let members = [
-            PanelMember {
-                ctmc: &chain,
-                times: &short,
-            },
-            PanelMember {
-                ctmc: &chain,
-                times: &long,
-            },
-        ];
-        let panel =
-            measure_curves_panel(&members, &alpha, &measure, &opts, &Budget::unlimited()).unwrap();
-        assert_eq!(panel.panel_sizes, vec![2]);
-        let solo_short = measure_curve(&chain, &alpha, &short, &measure, &opts).unwrap();
-        let solo_long = measure_curve(&chain, &alpha, &long, &measure, &opts).unwrap();
-        assert_eq!(panel.curves[0], solo_short);
-        assert_eq!(panel.curves[1], solo_long);
-        // The scenario actually exercises raggedness: the short column
-        // does strictly fewer products, and the long column hits steady
-        // state before its (much larger) right point.
-        assert!(panel.curves[0].iterations < panel.curves[1].iterations);
-        assert_eq!(panel.curves[0].converged_at, None);
-        assert!(panel.curves[1].converged_at.is_some());
+        let small = scaled_chain(&chain, 1.0 / 64.0);
+        let large = chain.clone();
+        let solo_small = measure_curve(&small, &alpha, &times, &measure, &opts).unwrap();
+        let solo_large = measure_curve(&large, &alpha, &times, &measure, &opts).unwrap();
+        assert_eq!(solo_small.converged_at, None);
+        assert!(solo_large.converged_at.is_some());
+        assert!(solo_small.iterations < solo_large.iterations);
+
+        let mut ascending = CurveCache::new();
+        measure_curve_cached(&small, &alpha, &times, &measure, &opts, &mut ascending).unwrap();
+        let extended =
+            measure_curve_cached(&large, &alpha, &times, &measure, &opts, &mut ascending).unwrap();
+        assert!(ascending.last_solve_shared());
+        assert_eq!(extended.points, solo_large.points);
+        assert_eq!(extended.converged_at, solo_large.converged_at);
+        assert_eq!(
+            solo_small.iterations + extended.iterations,
+            solo_large.iterations
+        );
+
+        let mut descending = CurveCache::new();
+        measure_curve_cached(&large, &alpha, &times, &measure, &opts, &mut descending).unwrap();
+        let remixed =
+            measure_curve_cached(&small, &alpha, &times, &measure, &opts, &mut descending).unwrap();
+        assert!(descending.last_solve_shared());
+        assert_eq!(remixed.iterations, 0);
+        assert_eq!(remixed.touched_entries, 0);
+        assert_eq!(remixed.points, solo_small.points);
+        // The remix inherits the longer sweep's deficit: a bound on its
+        // own trimmed mass, still inside the window's share of ε.
+        assert!(remixed.window_deficit >= solo_small.window_deficit);
+        assert!(remixed.window_deficit <= opts.epsilon / 2.0);
     }
 
     #[test]
-    fn panel_budget_cancellation_reports_per_column_completed_work() {
-        // The budget is checked once per live column per iteration,
-        // before the joint product — the same cadence as k serial
-        // solves. With k = 3 columns and 4 allowed checks, iteration 1
-        // performs 3 checks (all with 0 completed products) and 3
-        // column products; iteration 2's second check is the fifth call
-        // and fails, reporting the 3 products done.
-        let n = 200;
+    fn budget_cancels_windowed_extension_and_rerun_is_bit_identical() {
+        // Cancel a windowed *extension* part-way: the cache keeps only
+        // whole iterations (iterate, window and deficit), so finishing
+        // the extension later matches a never-cancelled one bit for bit.
+        let n = 120;
         let chain = lattice_chain(n, 1.0, 0.3);
         let alpha = point_mass(n, n - 1);
         let mut measure = vec![0.0; n];
         measure[0] = 1.0;
-        let times = [10.0, 60.0];
         let opts = windowed_opts();
-        let chains: Vec<Ctmc> = [0.25, 0.5, 1.0]
-            .iter()
-            .map(|&g| scaled_chain(&chain, g))
-            .collect();
-        let members: Vec<PanelMember<'_>> = chains
-            .iter()
-            .map(|c| PanelMember {
-                ctmc: c,
-                times: &times,
-            })
-            .collect();
-        let err = measure_curves_panel(
-            &members,
-            &alpha,
-            &measure,
-            &opts,
-            &Budget::cancelled_after_checks(4),
-        )
-        .unwrap_err();
-        assert_eq!(err, MarkovError::DeadlineExceeded { completed: 3 });
-        // An already-expired budget fails before any product.
-        let err = measure_curves_panel(
-            &members,
-            &alpha,
-            &measure,
-            &opts,
-            &Budget::cancelled_after_checks(0),
-        )
-        .unwrap_err();
-        assert_eq!(err, MarkovError::DeadlineExceeded { completed: 0 });
-    }
+        let double = scaled_chain(&chain, 2.0);
+        let mut clean = CurveCache::new();
+        let head =
+            measure_curve_cached(&chain, &alpha, &[5.0], &measure, &opts, &mut clean).unwrap();
+        let uncancelled =
+            measure_curve_cached(&double, &alpha, &[5.0], &measure, &opts, &mut clean).unwrap();
+        assert!(uncancelled.iterations > 3, "need room to cancel");
 
-    #[test]
-    fn panel_routes_ineligible_members_to_the_serial_engine() {
-        let n = 200;
-        let chain = lattice_chain(n, 1.0, 0.3);
-        let alpha = point_mass(n, n - 1);
-        let mut measure = vec![0.0; n];
-        measure[0] = 1.0;
-        // A t_max = 0 member (constant curve) mixed with a windowed
-        // pair: the constant member forms its own size-1 panel and runs
-        // the plain engine; the pair panels.
-        let zero = [0.0];
-        let times = [10.0, 60.0];
-        let half = scaled_chain(&chain, 0.5);
-        let opts = windowed_opts();
-        let members = [
-            PanelMember {
-                ctmc: &chain,
-                times: &zero,
-            },
-            PanelMember {
-                ctmc: &chain,
-                times: &times,
-            },
-            PanelMember {
-                ctmc: &half,
-                times: &times,
-            },
-        ];
-        let panel =
-            measure_curves_panel(&members, &alpha, &measure, &opts, &Budget::unlimited()).unwrap();
-        assert_eq!(panel.panel_sizes, vec![1, 2]);
-        for (m, got) in members.iter().zip(&panel.curves) {
-            let solo = measure_curve(m.ctmc, &alpha, m.times, &measure, &opts).unwrap();
-            assert_eq!(*got, solo);
-        }
-        // CSR never panels: every member becomes a size-1 group and the
-        // curves still match the single-vector engine point for point.
-        let csr = TransientOptions {
-            representation: Representation::Csr,
-            ..Default::default()
-        };
-        let csr_panel =
-            measure_curves_panel(&members[1..], &alpha, &measure, &csr, &Budget::unlimited())
-                .unwrap();
-        assert_eq!(csr_panel.panel_sizes, vec![1, 1]);
-        for (m, got) in members[1..].iter().zip(&csr_panel.curves) {
-            let solo = measure_curve(m.ctmc, &alpha, m.times, &measure, &csr).unwrap();
-            assert_eq!(got.points, solo.points);
-        }
+        let mut cache = CurveCache::new();
+        measure_curve_cached(&chain, &alpha, &[5.0], &measure, &opts, &mut cache).unwrap();
+        let err = measure_curve_budgeted(
+            &double,
+            &alpha,
+            &[5.0],
+            &measure,
+            &opts,
+            &mut cache,
+            &Budget::cancelled_after_checks(2),
+        )
+        .unwrap_err();
+        assert_eq!(err, MarkovError::DeadlineExceeded { completed: 2 });
+        let finished =
+            measure_curve_cached(&double, &alpha, &[5.0], &measure, &opts, &mut cache).unwrap();
+        assert!(cache.last_solve_shared());
+        assert_eq!(finished.points, uncancelled.points);
+        assert_eq!(finished.window_deficit, uncancelled.window_deficit);
+        assert_eq!(finished.iterations + 2, uncancelled.iterations);
+        let independent = measure_curve(&double, &alpha, &[5.0], &measure, &opts).unwrap();
+        assert_eq!(finished.points, independent.points);
+        assert_eq!(
+            head.touched_entries + uncancelled.touched_entries,
+            independent.touched_entries
+        );
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
 
-        /// Panel-vs-sequential bit-identity across random chain sizes,
-        /// rescale factors, panel widths and thread counts: every curve
-        /// a panel returns equals the one a fresh single-vector solve
-        /// of the same member produces.
+        /// One cache through a rate-rescale family in random member
+        /// order, across random chain sizes, horizons and thread counts:
+        /// every member's curve equals a fresh independent solve bit for
+        /// bit, whether it started, extended or remixed the shared sweep.
         #[test]
-        fn panel_matches_single_curves(
+        fn shared_cache_matches_solos_in_any_member_order(
             n in 24usize..120,
             down in 0.3f64..2.0,
             up in 0.0f64..1.0,
@@ -2047,7 +1736,6 @@ mod tests {
             windowed in 0usize..2,
         ) {
             use proptest::prelude::*;
-            let windowed = windowed == 1;
             let scales = [0.125, 0.25, 0.5, 1.0, 2.0];
             let chain = lattice_chain(n, down, up);
             let alpha = point_mass(n, n - 1);
@@ -2055,40 +1743,22 @@ mod tests {
             measure[0] = 1.0;
             let opts = TransientOptions {
                 representation: Representation::Banded,
-                active_window: windowed,
+                active_window: windowed == 1,
                 threads,
                 ..Default::default()
             };
-            let chains: Vec<Ctmc> =
-                gammas.iter().map(|&g| scaled_chain(&chain, scales[g])).collect();
-            // Stagger the horizons so panels are ragged more often than
-            // not.
-            let times: Vec<[f64; 2]> = (0..chains.len())
-                .map(|j| [t / (j + 1) as f64, t])
-                .collect();
-            let members: Vec<PanelMember<'_>> = chains
-                .iter()
-                .zip(&times)
-                .map(|(c, ts)| PanelMember { ctmc: c, times: ts })
-                .collect();
-            let panel =
-                measure_curves_panel(&members, &alpha, &measure, &opts, &Budget::unlimited())
-                    .unwrap();
-            prop_assert_eq!(
-                panel.panel_sizes.iter().sum::<usize>(),
-                members.len()
-            );
-            for (m, got) in members.iter().zip(&panel.curves) {
-                let solo = measure_curve(m.ctmc, &alpha, m.times, &measure, &opts).unwrap();
-                // With the window off the members run serially through a
-                // shared cache, whose reuse changes the per-call work
-                // counters (never the values); panelled members carry
-                // full single-solve diagnostics.
-                if windowed {
-                    prop_assert_eq!(got, &solo);
-                } else {
-                    prop_assert_eq!(&got.points, &solo.points);
-                }
+            let mut cache = CurveCache::new();
+            for (j, &g) in gammas.iter().enumerate() {
+                let member = scaled_chain(&chain, scales[g]);
+                // Staggered horizons, so members extend and remix.
+                let times = [t / (j + 1) as f64, t];
+                let shared =
+                    measure_curve_cached(&member, &alpha, &times, &measure, &opts, &mut cache)
+                        .unwrap();
+                let solo = measure_curve(&member, &alpha, &times, &measure, &opts).unwrap();
+                prop_assert_eq!(&shared.points, &solo.points);
+                prop_assert_eq!(cache.last_solve_shared(), j > 0);
+                prop_assert!(shared.window_deficit <= opts.epsilon / 2.0);
             }
         }
 
